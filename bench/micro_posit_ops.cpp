@@ -144,6 +144,39 @@ BENCHMARK(BM_QuireAccumulateDot)
     ->Args({32, 2, 0})
     ->Args({32, 2, 1});
 
+/// Quire::dot_round — the engine's per-output kQuire call (clear, deposit,
+/// one signed carry pass, round) — at the patch lengths of a small CIFAR
+/// ResNet (27/36/72/144: 3x3 windows over 3/4/8/16 channels), a 2x2
+/// window (4) and a wide linear row (512); posit(16,1), AVX2 deposit
+/// (/simd=1) vs scalar (/simd=0). Items are outputs.
+void BM_QuireDotRound(benchmark::State& state) {
+  const posit::PositSpec spec{16, 1};
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const bool want_simd = state.range(1) != 0;
+  if (want_simd && !posit::simd::available()) {
+    state.SkipWithError("AVX2 unavailable");
+    return;
+  }
+  posit::simd::force_disable(!want_simd);
+  constexpr std::size_t kRows = 64;
+  const auto a_codes = random_codes(spec, kRows * k);
+  const auto b_codes = random_codes(spec, k);
+  std::vector<posit::Unpacked> a(kRows * k), b(k);
+  posit::decode_unpacked(a_codes.data(), a.size(), spec, a.data());
+  posit::decode_unpacked(b_codes.data(), k, spec, b.data());
+  posit::Quire q(spec);
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < kRows; ++r) {
+      benchmark::DoNotOptimize(q.dot_round(a.data() + r * k, b.data(), k));
+    }
+  }
+  posit::simd::force_disable(false);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kRows);
+}
+BENCHMARK(BM_QuireDotRound)
+    ->ArgNames({"k", "simd"})
+    ->ArgsProduct({{4, 27, 36, 72, 144, 512}, {0, 1}});
+
 void BM_FromDoubleNearest(benchmark::State& state) {
   const posit::PositSpec spec{16, 1};
   tensor::Rng rng(5);

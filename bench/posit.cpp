@@ -11,8 +11,10 @@
 //     also compares engine serial MAC/s against the committed baseline.
 //
 // --session additionally benches the compiled PositSession: steady-state
-// run() throughput on each shape (path "session") plus a batch-size sweep on
-// the linear shape (labels "linear_sweep_b*"), all recorded in the JSON.
+// run() throughput on each shape (path "session"), a batch-size sweep on the
+// linear shape (labels "linear_sweep_b*"), and a whole small network — the
+// CIFAR ResNet-8 (base 4) on 8x8 images at batch 1 and 8 (labels
+// "resnet8_b4_8x8_b*", checked batched == solo) — all recorded in the JSON.
 //
 // Besides throughput rows, the JSON carries a "footprints" array — per
 // (shape, spec) packed panel bytes next to what the old unpacked layout
@@ -33,8 +35,10 @@
 #include <string>
 #include <vector>
 
+#include "../perfbench/src/plan_macs.hpp"
 #include "bench_util.hpp"
 #include "nn/layers.hpp"
+#include "nn/resnet.hpp"
 #include "posit/mul_lut.hpp"
 #include "quant/posit_inference.hpp"
 #include "quant/posit_session.hpp"
@@ -436,19 +440,66 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (run_session) {
+    // A whole small network at serving batch sizes: per-sample cost here is
+    // set by the per-output and per-element work (patch gather, dot
+    // rounding, BN, joins) as much as by the MACs. Each batch-8 row must
+    // equal its batch-1 run (batched == solo).
+    const PositSpec spec{16, 1};
+    const AccumMode mode = AccumMode::kQuire;
+    pdnn::nn::ResNetConfig rc;
+    rc.blocks_per_stage = 1;
+    rc.base_channels = 4;
+    rc.classes = 10;
+    Rng net_rng(17);
+    auto net = pdnn::nn::cifar_resnet(rc, net_rng);
+    net->forward(Tensor::randn({8, 3, 8, 8}, net_rng), true);  // non-trivial BN statistics
+    PositSession session = PositSession::compile(*net, session_config(spec, mode));
+    const double macs_per_sample = perfbench::plan_macs_per_sample(session.plan(), {3, 8, 8});
+    const Tensor x8 = Tensor::randn({8, 3, 8, 8}, rng);
+    const std::size_t image = 3 * 8 * 8;
+    const auto first_rows = [&](std::size_t batch, std::size_t from) {
+      Tensor x({batch, 3, 8, 8});
+      std::memcpy(x.data(), x8.data() + from * image, batch * image * sizeof(float));
+      return x;
+    };
+    const Tensor batched = session.run(x8);
+    const std::size_t classes = batched.shape()[1];
+    bool match = true;
+    for (std::size_t i = 0; i < 8; ++i) {
+      const Tensor& solo = session.run(first_rows(1, i));
+      match = match && std::memcmp(solo.data(), batched.data() + i * classes,
+                                   classes * sizeof(float)) == 0;
+    }
+    mismatch = mismatch || !match;
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{8}}) {
+      const Tensor x = first_rows(batch, 0);
+      const auto run_sess = [&] { session.run(x); };
+      run_sess();
+      const double t = time_best(run_sess, 50);
+      const double macs = macs_per_sample * static_cast<double>(batch);
+      const std::string label = "resnet8_b4_8x8_b" + std::to_string(batch);
+      results.push_back({label, spec, mode, "session", 1, t, macs / t, false, match, 0.0});
+      std::printf("%-20s %-11s %-6s session %8.3f MMAC/s  %8.1f us/sample  %s\n", label.c_str(),
+                  spec.to_string().c_str(), mode_name(mode), macs / t * 1e-6,
+                  t / static_cast<double>(batch) * 1e6, match ? "batched == solo" : "MISMATCH");
+    }
+  }
+
   {
     // Block-decoder bandwidth: unpack a packed panel and group-decode it into
-    // Unpacked lanes — the exact work engine_gemm does per activation tile /
-    // weight row. macs_per_s carries codes/s for these rows.
+    // Unpacked lanes — the exact work engine_gemm does per weight row.
+    // macs_per_s carries codes/s for these rows.
     const std::size_t n_codes = std::size_t{1} << 20;
-    std::vector<float> src(n_codes);
+    Tensor src({n_codes});
     Rng drng(31);
-    for (float& v : src) v = static_cast<float>((drng.uniform() - 0.5) * 4.0);
+    for (std::size_t i = 0; i < n_codes; ++i) {
+      src[i] = static_cast<float>((drng.uniform() - 0.5) * 4.0);
+    }
     std::vector<std::uint32_t> codes(n_codes);
     std::vector<pdnn::posit::Unpacked> ops(n_codes);
     for (const PositSpec& spec : specs) {
-      EncodedTensor panel;
-      pdnn::quant::encode_pack_into(src.data(), n_codes, spec, panel);
+      const EncodedTensor panel = pdnn::quant::encode_pack(src, spec);
       const auto run_decode = [&] {
         pdnn::posit::unpack_codes(panel.packed.data(), 0, n_codes, spec, codes.data());
         pdnn::posit::decode_unpacked(codes.data(), n_codes, spec, ops.data());
@@ -468,7 +519,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   out << "{\n  \"bench\": \"posit\",\n  \"threads_available\": " << hw_threads
-      << ",\n  \"act_tile\": " << pdnn::quant::kActTile << ",\n  \"results\": [\n";
+      << ",\n  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     out << "    {\"label\": \"" << r.label << "\", \"spec_n\": " << r.spec.n

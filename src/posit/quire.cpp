@@ -1,5 +1,6 @@
 #include "posit/quire.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -8,8 +9,67 @@
 namespace pdnn::posit {
 
 namespace {
+
 using u128 = unsigned __int128;
+
+/// Terms per deposit/merge round. A term adds under 2^32 to each limb it
+/// touches, so this keeps every signed limb sum of merge_banks, carry
+/// included, below 2^63.
+constexpr std::size_t kMergeTerms = std::size_t{1} << 29;
+
+/// Magnitude view of a two's-complement register, read word by word without
+/// copying it. For a negative register X, -X is zero below X's lowest
+/// non-zero word, that word's two's negation there, and ~X above it.
+class Magnitude {
+ public:
+  Magnitude(const std::uint64_t* words, std::size_t count) : words_(words) {
+    while (low_ < count && words[low_] == 0) ++low_;
+    negative_ = (words[count - 1] >> 63) != 0;
+  }
+
+  bool negative() const { return negative_; }
+  /// Index of the lowest non-zero word (== count when the register is zero).
+  std::size_t low() const { return low_; }
+
+  std::uint64_t operator[](std::size_t w) const {
+    if (!negative_) return words_[w];
+    return w < low_ ? 0u : (w == low_ ? 0u - words_[w] : ~words_[w]);
+  }
+
+ private:
+  const std::uint64_t* words_;
+  std::size_t low_ = 0;
+  bool negative_ = false;
+};
+
+/// Round a non-NaR register (bit 0 weighs 2^-frac_bits) to a posit code.
+std::uint32_t round_register(const std::vector<std::uint64_t>& words, long frac_bits,
+                             const PositSpec& spec, RoundMode mode, RoundingRng* rng) {
+  const Magnitude mag(words.data(), words.size());
+  if (mag.low() == words.size()) return 0u;
+  std::size_t top = words.size() - 1;
+  while (mag[top] == 0) --top;  // stops at low() at the latest
+  const long msb_pos = static_cast<long>(top) * 64 + 63 - __builtin_clzll(mag[top]);
+
+  // Up to 64 significand bits from the MSB down; everything below is sticky
+  // (and mag[w] is zero for every w below low()).
+  const long lo_pos = msb_pos - 63;
+  std::uint64_t sig;
+  bool sticky = false;
+  if (lo_pos >= 0) {
+    const std::size_t w = static_cast<std::size_t>(lo_pos / 64);
+    const int off = static_cast<int>(lo_pos % 64);
+    sig = mag[w] >> off;
+    if (off != 0) sig |= mag[w + 1] << (64 - off);
+    sticky = w > mag.low() || (mag[w] & ((1ULL << off) - 1)) != 0;
+  } else {
+    sig = mag[0] << (-lo_pos);
+  }
+  // sig now has its MSB (the hidden bit) at position 63.
+  return round_pack(spec, mag.negative(), msb_pos - frac_bits, sig, 63, sticky, mode, rng);
 }
+
+}  // namespace
 
 Quire::Quire(const PositSpec& spec, int guard_bits) : spec_(spec) {
   spec_.validate();
@@ -22,14 +82,13 @@ Quire::Quire(const PositSpec& spec, int guard_bits) : spec_(spec) {
   const long int_bits = 2L * spec_.max_scale() + guard_bits + 2;
   const long total = frac_bits_ + int_bits + 1;  // +1 sign
   words_.assign(static_cast<std::size_t>((total + 63) / 64), 0u);
-  // accumulate_dot scratch: one 64-bit limb per 32 register bits plus two
-  // spill limbs per bank, four banks — the SIMD deposit splits each sign
-  // stream (positive, negative) across two banks (even/odd terms) to shorten
-  // the same-limb add chains; the scalar path uses only the first bank of
-  // each stream. Every bank folds into the register exactly, so the split
-  // cannot change a bit.
-  limbs_.assign((words_.size() * 2 + 2 + 2) * 4, 0u);
-  mag_scratch_.assign(words_.size(), 0u);
+  // Dot-product scratch: one 64-bit limb per 32 register bits plus two
+  // spill limbs and two slack limbs per bank, four banks — the SIMD deposit
+  // splits each sign stream (positive, negative) across two banks (even/odd
+  // terms) to shorten the same-limb add chains; the scalar path uses only
+  // the first bank of each stream. The merge sums all four exactly, so the
+  // split cannot change a bit.
+  limbs_.assign(bank_stride() * 4, 0u);
 }
 
 void Quire::clear() {
@@ -141,67 +200,27 @@ void Quire::add_product(const Unpacked& a, const Unpacked& b) {
   add_shifted64(product, static_cast<long>(a.lsb_weight) + b.lsb_weight, a.neg != b.neg);
 }
 
-void Quire::fold_limbs(std::uint64_t* limbs, bool negative) {
-  const std::size_t nlimbs = words_.size() * 2 + 2;
-  // Carry-propagate the 32-bit payloads; spill past the register width drops
-  // out, matching the mod-2^width wraparound of sequential deposits.
-  std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < nlimbs; ++i) {
-    const u128 t = static_cast<u128>(limbs[i]) + carry;
-    limbs[i] = static_cast<std::uint64_t>(t) & 0xFFFFFFFFu;
-    carry = static_cast<std::uint64_t>(t >> 32);
-  }
-  if (!negative) {
-    unsigned c = 0;
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      const std::uint64_t v = limbs[2 * w] | (limbs[2 * w + 1] << 32);
-      const u128 s = static_cast<u128>(words_[w]) + v + c;
-      words_[w] = static_cast<std::uint64_t>(s);
-      c = static_cast<unsigned>(s >> 64);
-    }
-  } else {
-    std::uint64_t borrow = 0;
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      const u128 sub_amount =
-          static_cast<u128>(limbs[2 * w] | (limbs[2 * w + 1] << 32)) + borrow;
-      const u128 before = words_[w];
-      words_[w] = static_cast<std::uint64_t>(before - sub_amount);
-      borrow = before < sub_amount ? 1u : 0u;
-    }
-  }
-}
-
-void Quire::accumulate_dot(const Unpacked* a, const Unpacked* b, std::size_t count) {
-  const std::size_t nlimbs = words_.size() * 2 + 2;
-  const std::size_t bank_stride = nlimbs + 2;  // +2 spill slack per bank
+bool Quire::deposit(const Unpacked* a, const Unpacked* b, std::size_t count) {
   // Bank layout: [pos0 | neg0 | pos1 | neg1]. The scalar loop (and the SIMD
   // group's even terms) deposit into bank 0 of each sign stream; the SIMD
-  // group's odd terms go bank1_offset limbs further.
+  // group's odd terms go two banks further.
   std::uint64_t* pos_limbs = limbs_.data();
-  std::uint64_t* neg_limbs = limbs_.data() + bank_stride;
-  const std::size_t bank1_offset = bank_stride * 2;
-  std::fill(limbs_.begin(), limbs_.end(), 0u);
+  std::uint64_t* neg_limbs = limbs_.data() + bank_stride();
   const long base = frac_bits_;
-  bool nar = false;
+  std::uint32_t flags = 0;
   std::size_t i = 0;
-  bool used_bank1 = false;
   if (simd::enabled()) {
     // Groups of 8 terms deposit vectorized; limb adds are exact, so the
-    // grouping cannot change the folded register state. Scalar tail below.
-    std::uint32_t flags = 0;
-    i = simd::accumulate_limbs_avx2(a, b, count, base, pos_limbs, neg_limbs, bank1_offset, &flags);
-    if ((flags & Unpacked::kNarFlag) != 0) nar = true;
-    used_bank1 = i != 0;
+    // grouping cannot change the merged register state. Scalar tail below.
+    i = simd::accumulate_limbs_avx2(a, b, count, base, pos_limbs, neg_limbs, 2 * bank_stride(),
+                                    &flags);
   }
   for (; i < count; ++i) {
     const Unpacked ua = a[i];
     const Unpacked ub = b[i];
-    // Zero operands fall through for free (sig == 0 deposits nothing); only
-    // NaR needs the branch, and it never fires on real panels.
-    if (((ua.flags | ub.flags) & Unpacked::kNarFlag) != 0) {
-      nar = true;
-      continue;
-    }
+    // Zero and NaR operands carry sig == 0 at lsb_weight 0, so they deposit
+    // nothing at an in-range position; NaR is only flagged.
+    flags |= ua.flags | ub.flags;
     const std::uint64_t product = static_cast<std::uint64_t>(ua.sig) * ub.sig;  // <= 60 bits
     const auto pos = static_cast<std::size_t>(base + ua.lsb_weight + ub.lsb_weight);
     const std::size_t idx = pos >> 5;
@@ -213,13 +232,60 @@ void Quire::accumulate_dot(const Unpacked* a, const Unpacked* b, std::size_t cou
     dst[idx + 1] += (product >> (32 - sh)) & 0xFFFFFFFFu;
     dst[idx + 2] += (product >> 1) >> (63 - sh);
   }
-  if (nar) nar_ = true;
-  fold_limbs(pos_limbs, false);
-  fold_limbs(neg_limbs, true);
-  if (used_bank1) {
-    fold_limbs(pos_limbs + bank1_offset, false);
-    fold_limbs(neg_limbs + bank1_offset, true);
+  return (flags & Unpacked::kNarFlag) != 0;
+}
+
+void Quire::merge_banks(bool accumulate) {
+  const std::size_t stride = bank_stride();
+  std::uint64_t* const pos0 = limbs_.data();
+  std::uint64_t* const neg0 = pos0 + stride;
+  std::uint64_t* const pos1 = pos0 + 2 * stride;
+  std::uint64_t* const neg1 = pos0 + 3 * stride;
+  // A limb takes at most one chunk (< 2^32) per term and a deposit round is
+  // at most kMergeTerms terms, so one limb position across the banks plus
+  // the signed carry stays inside int64 exactly. Limbs past the register
+  // width only add multiples of 2^width: they are dropped, matching the
+  // mod-2^width wraparound of sequential deposits.
+  std::int64_t carry = 0;
+  unsigned add_carry = 0;
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    std::uint64_t v = 0;
+    for (std::size_t h = 0; h < 2; ++h) {
+      const std::size_t i = 2 * w + h;
+      const auto t =
+          static_cast<std::int64_t>(pos0[i] + pos1[i] - neg0[i] - neg1[i]) + carry;
+      v |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(t)) << (32 * h);
+      carry = t >> 32;  // arithmetic: floor division keeps the low limb in [0, 2^32)
+    }
+    if (accumulate) {
+      const u128 s = static_cast<u128>(words_[w]) + v + add_carry;
+      words_[w] = static_cast<std::uint64_t>(s);
+      add_carry = static_cast<unsigned>(s >> 64);
+    } else {
+      words_[w] = v;
+    }
   }
+  std::fill(limbs_.begin(), limbs_.end(), 0u);
+}
+
+void Quire::accumulate_dot(const Unpacked* a, const Unpacked* b, std::size_t count) {
+  std::size_t i = 0;
+  do {
+    const std::size_t n = std::min(count - i, kMergeTerms);
+    if (deposit(a + i, b + i, n)) nar_ = true;
+    merge_banks(/*accumulate=*/true);
+    i += n;
+  } while (i < count);
+}
+
+std::uint32_t Quire::dot_round(const Unpacked* a, const Unpacked* b, std::size_t count,
+                               RoundMode mode, RoundingRng* rng) {
+  const std::size_t n = std::min(count, kMergeTerms);
+  nar_ = deposit(a, b, n);
+  merge_banks(/*accumulate=*/false);
+  if (count > n) accumulate_dot(a + n, b + n, count - n);
+  if (nar_) return spec_.nar_code();
+  return round_register(words_, frac_bits_, spec_, mode, rng);
 }
 
 void Quire::sub_product(std::uint32_t a, std::uint32_t b) { add_product(a, neg(b, spec_)); }
@@ -236,72 +302,18 @@ void Quire::add_posit(std::uint32_t a) {
 
 std::uint32_t Quire::to_posit(RoundMode mode, RoundingRng* rng) const {
   if (nar_) return spec_.nar_code();
-  // Determine sign from the top word (two's complement).
-  const bool negative = (words_.back() >> 63) != 0;
-  std::vector<std::uint64_t>& mag = mag_scratch_;  // per-output hot path: no allocation
-  mag = words_;
-  if (negative) {
-    unsigned carry = 1;
-    for (auto& w : mag) {
-      const u128 s = static_cast<u128>(~w) + carry;
-      w = static_cast<std::uint64_t>(s);
-      carry = static_cast<unsigned>(s >> 64);
-    }
-  }
-  // Find the most significant set bit.
-  int top_word = static_cast<int>(mag.size()) - 1;
-  while (top_word >= 0 && mag[static_cast<std::size_t>(top_word)] == 0) --top_word;
-  if (top_word < 0) return 0u;
-  int top_bit = 63;
-  while (((mag[static_cast<std::size_t>(top_word)] >> top_bit) & 1) == 0) --top_bit;
-  const long msb_pos = static_cast<long>(top_word) * 64 + top_bit;
-
-  // Extract up to 64 significand bits below (and including) the MSB; the rest
-  // is sticky.
-  std::uint64_t sig = 0;
-  bool sticky = false;
-  const long lo_pos = msb_pos - 63;  // significand occupies [lo_pos, msb_pos]
-  for (long p = 0; p < lo_pos; p += 64) {
-    const std::size_t w = static_cast<std::size_t>(p / 64);
-    const int upto = static_cast<int>(lo_pos - p < 64 ? lo_pos - p : 64);
-    const std::uint64_t mask = upto >= 64 ? ~0ULL : ((1ULL << upto) - 1);
-    if (mag[w] & mask) {
-      sticky = true;
-      break;
-    }
-  }
-  if (lo_pos >= 0) {
-    const std::size_t w = static_cast<std::size_t>(lo_pos / 64);
-    const int off = static_cast<int>(lo_pos % 64);
-    sig = mag[w] >> off;
-    if (off != 0 && w + 1 < mag.size()) sig |= mag[w + 1] << (64 - off);
-  } else {
-    sig = mag[0] << (-lo_pos);
-  }
-  // sig now has its MSB (the hidden bit) at position 63.
-  const long scale = msb_pos - frac_bits_;
-  return round_pack(spec_, negative, scale, sig, 63, sticky, mode, rng);
+  return round_register(words_, frac_bits_, spec_, mode, rng);
 }
 
 double Quire::to_double() const {
   if (nar_) return std::numeric_limits<double>::quiet_NaN();
-  const bool negative = (words_.back() >> 63) != 0;
-  std::vector<std::uint64_t>& mag = mag_scratch_;
-  mag = words_;
-  if (negative) {
-    unsigned carry = 1;
-    for (auto& w : mag) {
-      const u128 s = static_cast<u128>(~w) + carry;
-      w = static_cast<std::uint64_t>(s);
-      carry = static_cast<unsigned>(s >> 64);
-    }
-  }
+  const Magnitude mag(words_.data(), words_.size());
   double acc = 0.0;
-  for (int i = static_cast<int>(mag.size()) - 1; i >= 0; --i) {
-    acc = acc * 18446744073709551616.0 + static_cast<double>(mag[static_cast<std::size_t>(i)]);
+  for (std::size_t i = words_.size(); i-- > 0;) {
+    acc = acc * 18446744073709551616.0 + static_cast<double>(mag[i]);
   }
   acc = std::ldexp(acc, static_cast<int>(-frac_bits_));
-  return negative ? -acc : acc;
+  return mag.negative() ? -acc : acc;
 }
 
 }  // namespace pdnn::posit

@@ -17,10 +17,9 @@
 
 namespace pdnn::posit {
 
-/// Not thread-safe, including the const readers: to_posit()/to_double() use
-/// an internal magnitude scratch buffer (they run once per dot product on
-/// the engine's hot path, where a heap allocation per call dominated). Use
-/// one Quire per thread, as the engine's OpenMP regions do.
+/// Not thread-safe: the dot-product entry points deposit into internal
+/// carry-save scratch. Use one Quire per thread, as the engine's OpenMP
+/// regions do. The const readers copy nothing and may run concurrently.
 class Quire {
  public:
   /// Builds a quire sized for `spec`: enough integer bits for
@@ -39,14 +38,20 @@ class Quire {
   /// product in 64 bits, touching at most two register words per term.
   void add_product(const Unpacked& a, const Unpacked& b);
 
-  /// Accumulates sum_i a[i]*b[i] exactly — the engine's dot-product hot
-  /// path. Equivalent to `count` add_product(a[i], b[i]) calls (the final
-  /// register state is bit-identical: both compute the same exact value mod
-  /// 2^width), but batched: products are scattered branch-free into 32-bit
-  /// carry-save limbs (positive and negative streams separate, so no borrow
-  /// chains) and folded into the canonical two's-complement register once at
-  /// the end.
+  /// Accumulates sum_i a[i]*b[i] exactly. Equivalent to `count`
+  /// add_product(a[i], b[i]) calls (the final register state is
+  /// bit-identical: both compute the same exact value mod 2^width), but
+  /// batched: products are scattered branch-free into 32-bit carry-save
+  /// limbs (positive and negative streams separate, so no borrow chains) and
+  /// merged into the canonical two's-complement register by one signed carry
+  /// pass at the end.
   void accumulate_dot(const Unpacked* a, const Unpacked* b, std::size_t count);
+  /// The engine's per-output hot path: clear(), accumulate_dot(a, b, count),
+  /// then to_posit(mode, rng) — same register state, same code — fused so
+  /// the carry pass writes the register outright (no clear, no add) and the
+  /// rounding reads it in place.
+  std::uint32_t dot_round(const Unpacked* a, const Unpacked* b, std::size_t count,
+                          RoundMode mode = RoundMode::kNearestEven, RoundingRng* rng = nullptr);
   /// Accumulates -a*b exactly.
   void sub_product(std::uint32_t a, std::uint32_t b);
   /// Accumulates the posit value a exactly.
@@ -69,15 +74,21 @@ class Quire {
   /// Fast two-word deposit for significands that fit 64 bits (the unpacked
   /// hot path); same exact addition as add_shifted.
   void add_shifted64(std::uint64_t sig, long lsb_weight, bool negative);
-  /// Carry-propagates `limbs` (32-bit payloads at 32-bit stride) and adds or
-  /// subtracts the resulting value into the register (mod 2^width).
-  void fold_limbs(std::uint64_t* limbs, bool negative);
+  /// Limbs per carry-save bank: one per 32 register bits, two spill limbs
+  /// for the top deposit's upper chunks, two slack.
+  std::size_t bank_stride() const { return words_.size() * 2 + 4; }
+  /// Deposits sum_i a[i]*b[i] into the (zeroed) carry-save banks; returns
+  /// whether any operand was NaR.
+  bool deposit(const Unpacked* a, const Unpacked* b, std::size_t count);
+  /// One signed carry pass over the four banks: their value mod 2^width is
+  /// added to the register (`accumulate`) or replaces it. Leaves the banks
+  /// zeroed for the next deposit.
+  void merge_banks(bool accumulate);
 
   PositSpec spec_;
   long frac_bits_;                   ///< weight of bit 0 is 2^(-frac_bits_)
   std::vector<std::uint64_t> words_; ///< little-endian two's-complement
-  std::vector<std::uint64_t> limbs_; ///< accumulate_dot scratch: [pos | neg]
-  mutable std::vector<std::uint64_t> mag_scratch_;  ///< to_posit/to_double magnitude buffer
+  std::vector<std::uint64_t> limbs_; ///< carry-save banks [pos0|neg0|pos1|neg1], zero between calls
   bool nar_ = false;
 };
 

@@ -10,18 +10,19 @@
 //     float-exponent trick; AVX2 has no lzcnt), regime/exponent/fraction
 //     splits use per-lane variable shifts, and the trailing-zero reduction
 //     reuses the same trick on the isolated lowest bit. This is the group
-//     decoder behind decode_unpacked() spans — the engine's packed-panel
-//     block decode and every activation encode pass run through it.
+//     decoder behind decode_unpacked() spans — the engine's weight-row and
+//     activation patch-panel decodes run through it.
 //   * accumulate_limbs_avx2 — the vectorized carry-save deposit inside
-//     Quire::accumulate_dot: per group of eight products it computes the
-//     64-bit significand products, splits each into three 32-bit carry-save
+//     Quire::dot_round / accumulate_dot: per group of eight products it
+//     computes the 64-bit significand products, splits each into three
+//     32-bit carry-save
 //     chunks at its bit position (variable 64-bit shifts), spills the chunk
 //     vectors to the stack, and deposits each term with three 64-bit limb
 //     adds — even terms into bank 0, odd terms into bank 1 of each sign
 //     stream. Product positions cluster inside a dot product, so wide RMW
 //     vectors at shifting offsets would defeat store-to-load forwarding;
 //     narrow same-address adds across twice the banks keep the forwarding
-//     chains short instead. The folded register state matches the scalar
+//     chains short instead. The merged register state matches the scalar
 //     loop exactly (every deposit is an exact add mod 2^width, so neither
 //     grouping nor bank splitting can change a bit).
 //
@@ -59,7 +60,8 @@ void decode_unpacked8_avx2(const std::uint32_t* codes, const PositSpec& spec, Un
 /// sign-split carry-save banks (32-bit payload limbs at 32-bit stride;
 /// same-sign stream to pos_limbs, mixed-sign to neg_limbs). Even-indexed
 /// terms land in the bank at each stream's base, odd-indexed terms at
-/// base + bank1_offset limbs — the caller zeroes and folds all four banks.
+/// base + bank1_offset limbs — the caller hands all four banks in zeroed and
+/// merges them afterwards.
 /// `base` is the quire's frac_bits_. Returns the OR of all consumed operand
 /// flag bytes (caller checks Unpacked::kNarFlag) and the number of terms
 /// consumed. Caller must check enabled() and handle the ragged tail with the

@@ -1,9 +1,10 @@
-// engine_gemm.hpp — internal decode-once GEMM shared by the free-function
-// engine entry points (posit_linear / posit_conv2d) and the compiled
-// PositSession. Not part of the public API.
+// engine_gemm.hpp — internal decode-once GEMM and the conv/linear entry
+// points shared by the free functions (posit_linear / posit_conv2d) and the
+// compiled PositSession. Not part of the public API.
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "posit/add_lut.hpp"
 #include "posit/mul_lut.hpp"
@@ -25,11 +26,16 @@ inline int engine_threads() {
 #endif
 }
 
+/// Multiply-accumulates below which engine_gemm runs on the calling thread
+/// alone: ~100 us of quire MACs, where forking a team costs more than it
+/// saves (every per-image GEMM of a small CIFAR ResNet sits below it).
+constexpr std::size_t kParallelMacs = std::size_t{1} << 15;
+
 /// The tabulated kernels a (spec, mode) pair can dispatch onto (n <= 8
 /// formats; all pointers null otherwise). `mul`+`add` drive serial
-/// accumulation, `fma` the fma chain, and `add` alone every bias add in any
-/// mode. Results are bit-identical to the arithmetic routines by
-/// construction.
+/// accumulation, `fma` the fma chain, and `add` alone every bias add and
+/// residual join in any mode. Results are bit-identical to the arithmetic
+/// routines by construction.
 struct EngineLuts {
   const posit::MulLut* mul = nullptr;
   const posit::AddLut* add = nullptr;
@@ -40,39 +46,61 @@ struct EngineLuts {
 /// cache lock; never call on the per-row hot path).
 EngineLuts resolve_luts(const posit::PositSpec& spec, AccumMode mode);
 
-/// The block-decode GEMM at the heart of the engine. `a` holds `rows`
-/// contiguous bit-packed operand rows of length k (activation panel), `w`
-/// holds `cols` packed rows of length k (weight panel); the rounded dot of
-/// every pair — plus optional per-column bias — lands at
-/// out[r * row_stride + o * col_stride]. Panels stay packed at format width
-/// and every packed value is decoded exactly once per call (SIMD group
-/// decode, posit/simd.hpp): the activation panel into the calling thread's
-/// scratch first (kActTile-row slices, team-parallel), then each weight row
-/// into its streaming thread's O(k) scratch as the column loop reaches it.
-/// Resident panel memory is the packed payload; the decoded activation panel
-/// is per-call working scratch.
-///
-/// Threading is over output columns with one quire per thread. Each output
-/// is accumulated start-to-finish by a single thread in ascending-k order —
-/// exactly the reference order — so results are bit-identical to the scalar
-/// reference and to any other thread count, for every AccumMode.
-///
-/// `quire_pool` must hold at least engine_threads() quires of `w.spec` when
-/// mode == kQuire (the session's pre-planned per-thread arenas; the free
-/// functions build a transient pool). Ignored for the other modes.
-void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTensor& bias,
-                 std::size_t rows, std::size_t k, std::size_t cols, AccumMode mode, float* out,
-                 std::size_t row_stride, std::size_t col_stride, const EngineLuts& luts,
-                 posit::Quire* quire_pool);
+/// Whether a (mode, luts) pairing reads decoded Unpacked lanes; the LUT
+/// serial/fma chains index raw codes only.
+bool reads_lanes(AccumMode mode, const EngineLuts& luts);
 
-/// Encode the im2col panel `cols` ([patch, pixels]) transposed into `panel`
-/// so each output pixel's patch is contiguous, reusing the panel's storage.
-void encode_conv_panel(const float* cols, std::size_t patch, std::size_t pixels,
-                       const posit::PositSpec& spec, EncodedTensor& panel);
+/// A layer's bound right-hand side: packed weight panel [cols, k] (resident
+/// at format width), optional packed bias [cols], accumulation mode, tables,
+/// and — for kQuire — at least engine_threads() quires of the weight spec.
+struct EngineWeights {
+  const EncodedTensor& w;
+  const EncodedTensor& bias;
+  AccumMode mode;
+  const EngineLuts& luts;
+  posit::Quire* quire_pool;
+};
 
-/// Bytes of the calling thread's block-decode + encode scratch (capacity,
-/// grow-only). Scratch, not model footprint: PositSession::panel_bytes()
-/// deliberately excludes it.
-std::size_t engine_scratch_bytes();
+/// Grow-only activation scratch of the conv/linear entry points: a conv
+/// input image's codes, the transposed patch panel gathered from them (a
+/// linear step's codes instead), and the panel's decoded lanes. A conv holds
+/// one image at a time, never the batch. Run scratch, not model footprint.
+struct ActScratch {
+  std::vector<std::uint32_t> input;
+  std::vector<std::uint32_t> codes;
+  std::vector<posit::Unpacked> ops;
+
+  std::size_t bytes() const {
+    return (input.capacity() + codes.capacity()) * sizeof(std::uint32_t) +
+           ops.capacity() * sizeof(posit::Unpacked);
+  }
+};
+
+/// The GEMM at the heart of the engine. Activation row r is
+/// a_codes[r*k, r*k+k) with its decoded lanes at a_ops[r*k] (a_ops may be
+/// null when reads_lanes() is false); the rounded dot of every (row, weight
+/// row) pair — plus the optional bias — lands at
+/// out[r * row_stride + o * col_stride]. Each packed weight row is decoded
+/// once per call into its thread's O(k) scratch and streamed against every
+/// activation row; kQuire outputs are one Quire::dot_round each.
+///
+/// Threading is over output columns with one quire per thread, and only
+/// above kParallelMacs. Each output is accumulated start-to-finish by a
+/// single thread in ascending-k order — exactly the reference order — so
+/// results are bit-identical to the scalar reference and to any other
+/// thread count, for every AccumMode.
+void engine_gemm(const std::uint32_t* a_codes, const posit::Unpacked* a_ops,
+                 const EngineWeights& wt, std::size_t rows, std::size_t k, std::size_t cols,
+                 float* out, std::size_t row_stride, std::size_t col_stride);
+
+/// y[n, out] = x[n, in] W^T (+ bias): encode x once, decode it, one GEMM.
+void engine_linear(const float* x, std::size_t n, const EngineWeights& wt, ActScratch& scratch,
+                   float* y);
+
+/// Posit convolution of x [batch, C, H, W] into y [batch, O, H', W'], one
+/// image at a time: encode the image once (one from_double per element),
+/// gather its transposed patch panel (code 0 for padding), decode it, GEMM.
+void engine_conv2d(const float* x, std::size_t batch, const tensor::Conv2dGeom& geom,
+                   const EngineWeights& wt, ActScratch& scratch, float* y);
 
 }  // namespace pdnn::quant::detail

@@ -1,6 +1,5 @@
 #include "quant/posit_inference.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "quant/engine_gemm.hpp"
@@ -17,36 +16,56 @@ namespace detail {
 
 namespace {
 
-/// Per-thread block-decode scratch for the packed panels. The calling
-/// thread's instance holds the whole activation panel for the duration of
-/// one GEMM (codes plus, when the mode consumes them, unpacked lanes —
-/// transient per-call working set, rebuilt from the packed panel each call);
-/// each team thread's instance holds the single weight row it is currently
-/// streaming. Grow-only and thread-local, so the steady-state cost is
-/// bounded by the largest shapes this thread has seen — scratch, not model
-/// footprint (engine_scratch_bytes() reports it).
-struct DecodeScratch {
-  std::vector<std::uint32_t> a_codes;
-  std::vector<std::uint32_t> w_codes;
-  std::vector<Unpacked> a_ops;
-  std::vector<Unpacked> w_ops;
+/// Per-thread weight-row scratch: the packed row the thread is currently
+/// streaming, unpacked to codes and (when the mode reads them) decoded
+/// lanes. Grow-only and thread-local — bounded by the largest k this thread
+/// has seen.
+struct WeightRow {
+  std::vector<std::uint32_t> codes;
+  std::vector<Unpacked> ops;
 };
-thread_local DecodeScratch tl_scratch;
+thread_local WeightRow tl_weight_row;
 
-/// Caller-thread scratch for the encode paths: codes are produced in
-/// parallel here, then bit-packed serially (the 64-bit RMW pack windows of
-/// adjacent ranges overlap, so packing itself must not be split across
-/// threads).
-thread_local std::vector<std::uint32_t> tl_encode_codes;
+/// Encode `count` floats to codes under kEncodeRound, in parallel when large.
+void encode_codes(const float* src, std::size_t count, const PositSpec& spec,
+                  std::uint32_t* codes) {
+#pragma omp parallel for schedule(static) if (count > 4096)
+  for (std::size_t i = 0; i < count; ++i) {
+    codes[i] = posit::from_double(src[i], spec, kEncodeRound);
+  }
+}
+
+/// Gather one encoded image [C, H, W] into its transposed patch panel
+/// [pixels, patch]: each output pixel's patch contiguous in the weight
+/// layout's (c, ky, kx) order, as im2col orders its rows. Taps outside the
+/// image read code 0 — the encoding of im2col's zero padding.
+void gather_patches(const std::uint32_t* img, const tensor::Conv2dGeom& g, std::uint32_t* panel) {
+  const long oh = static_cast<long>(g.out_h()), ow = static_cast<long>(g.out_w());
+  const long in_h = static_cast<long>(g.in_h), in_w = static_cast<long>(g.in_w);
+  const long kh = static_cast<long>(g.kh()), kw = static_cast<long>(g.kw());
+  const long channels = static_cast<long>(g.in_c);
+  const long stride = static_cast<long>(g.stride), pad = static_cast<long>(g.pad);
+  const std::size_t patch = g.patch();
+#pragma omp parallel for schedule(static) if (oh > 1 && g.out_h() * g.out_w() * patch > 16384)
+  for (long y = 0; y < oh; ++y) {
+    std::uint32_t* dst = panel + static_cast<std::size_t>(y * ow) * patch;
+    for (long x = 0; x < ow; ++x) {
+      for (long c = 0; c < channels; ++c) {
+        const std::uint32_t* plane = img + c * in_h * in_w;
+        for (long ky = 0; ky < kh; ++ky) {
+          const long iy = y * stride - pad + ky;
+          const bool row_in = iy >= 0 && iy < in_h;
+          for (long kx = 0; kx < kw; ++kx) {
+            const long ix = x * stride - pad + kx;
+            *dst++ = row_in && ix >= 0 && ix < in_w ? plane[iy * in_w + ix] : 0u;
+          }
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
-
-std::size_t engine_scratch_bytes() {
-  const DecodeScratch& s = tl_scratch;
-  return (s.a_codes.capacity() + s.w_codes.capacity() + tl_encode_codes.capacity()) *
-             sizeof(std::uint32_t) +
-         (s.a_ops.capacity() + s.w_ops.capacity()) * sizeof(Unpacked);
-}
 
 EngineLuts resolve_luts(const PositSpec& spec, AccumMode mode) {
   // The tables tabulate the *arithmetic* rounding of the engine
@@ -64,88 +83,67 @@ EngineLuts resolve_luts(const PositSpec& spec, AccumMode mode) {
   return luts;
 }
 
-void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTensor& bias,
-                 std::size_t rows, std::size_t k, std::size_t cols, AccumMode mode, float* out,
-                 std::size_t row_stride, std::size_t col_stride, const EngineLuts& luts,
-                 posit::Quire* quire_pool) {
-  const PositSpec spec = w.spec;
-  const std::size_t tiles = (rows + kActTile - 1) / kActTile;
-  // Which operand forms this (mode, luts) pairing actually reads: the LUT
-  // serial/fma chains index raw codes, everything else consumes Unpacked
-  // lanes. Codes are always unpacked from the packed panels (they are the
-  // decode intermediate); the lane decode is skipped when nothing reads it.
+bool reads_lanes(AccumMode mode, const EngineLuts& luts) {
   const bool lut_serial = mode == AccumMode::kSerial && luts.mul != nullptr && luts.add != nullptr;
   const bool lut_fma = mode == AccumMode::kFma && luts.fma != nullptr;
-  const bool need_ops = !(lut_serial || lut_fma);
-  // Phase split keeps every panel value's decode to exactly once per call:
-  // the activation panel is block-decoded (kActTile-row slices, in parallel)
-  // into the calling thread's scratch, then the GEMM parallelizes over
-  // output columns so each packed weight row is unpacked once and streamed
-  // against every activation row. Sized buffers are grabbed before the team
-  // starts — the region below only reads them through raw pointers.
-  DecodeScratch& host = tl_scratch;
-  host.a_codes.resize(rows * k);
-  if (need_ops) host.a_ops.resize(rows * k);
-  std::uint32_t* const a_codes_buf = host.a_codes.data();
-  Unpacked* const a_ops_buf = need_ops ? host.a_ops.data() : nullptr;
-#pragma omp parallel
+  return !(lut_serial || lut_fma);
+}
+
+void engine_gemm(const std::uint32_t* a_codes, const Unpacked* a_ops, const EngineWeights& wt,
+                 std::size_t rows, std::size_t k, std::size_t cols, float* out,
+                 std::size_t row_stride, std::size_t col_stride) {
+  const PositSpec spec = wt.w.spec;
+  const EncodedTensor& bias = wt.bias;
+  const EngineLuts& luts = wt.luts;
+  const AccumMode mode = wt.mode;
+  const bool lanes = reads_lanes(mode, luts);
+#pragma omp parallel if (cols > 1 && rows * k * cols > kParallelMacs)
   {
 #ifdef _OPENMP
     const int tid = omp_get_thread_num();
 #else
     const int tid = 0;
 #endif
-    posit::Quire* quire = mode == AccumMode::kQuire ? &quire_pool[tid] : nullptr;
-#pragma omp for schedule(static)
-    for (std::size_t tile = 0; tile < tiles; ++tile) {
-      const std::size_t r0 = tile * kActTile;
-      const std::size_t r1 = std::min(rows, r0 + kActTile);
-      posit::unpack_codes(a.packed.data(), r0 * k, (r1 - r0) * k, a.spec, a_codes_buf + r0 * k);
-      if (need_ops) {
-        posit::decode_unpacked(a_codes_buf + r0 * k, (r1 - r0) * k, a.spec, a_ops_buf + r0 * k);
-      }
-    }  // implicit barrier: the whole panel is decoded before any dot reads it
-    DecodeScratch& scratch = tl_scratch;
-    scratch.w_codes.resize(k);
-    if (need_ops) scratch.w_ops.resize(k);
+    posit::Quire* quire = mode == AccumMode::kQuire ? &wt.quire_pool[tid] : nullptr;
+    WeightRow& scratch = tl_weight_row;
+    scratch.codes.resize(k);
+    if (lanes) scratch.ops.resize(k);
+    const std::uint32_t* wcodes = scratch.codes.data();
+    const Unpacked* wrow = scratch.ops.data();
 #pragma omp for schedule(static)
     for (std::size_t o = 0; o < cols; ++o) {
-      posit::unpack_codes(w.packed.data(), o * k, k, spec, scratch.w_codes.data());
-      const std::uint32_t* wcodes = scratch.w_codes.data();
-      const Unpacked* wrow = scratch.w_ops.data();
-      if (need_ops) posit::decode_unpacked(wcodes, k, spec, scratch.w_ops.data());
+      posit::unpack_codes(wt.w.packed.data(), o * k, k, spec, scratch.codes.data());
+      if (lanes) posit::decode_unpacked(wcodes, k, spec, scratch.ops.data());
       const std::uint32_t bcode =
           !bias.empty() ? posit::unpack_one(bias.packed.data(), o, bias.spec) : 0u;
       for (std::size_t r = 0; r < rows; ++r) {
-        const Unpacked* arow = a_ops_buf + r * k;
-        const std::uint32_t* acodes = a_codes_buf + r * k;
         std::uint32_t acc = 0;
-        switch (mode) {
-          case AccumMode::kQuire:
-            quire->clear();
-            quire->accumulate_dot(arow, wrow, k);
-            acc = quire->to_posit();
-            break;
-          case AccumMode::kSerial:
-            if (lut_serial) {
-              // Two table reads per term: the multiply and the accumulator
-              // add both come out of L2-resident LUTs.
-              for (std::size_t i = 0; i < k; ++i) {
-                acc = luts.add->at(acc, luts.mul->at(acodes[i], wcodes[i]));
-              }
-            } else {
+        if (lanes) {
+          const Unpacked* arow = a_ops + r * k;
+          switch (mode) {
+            case AccumMode::kQuire:
+              acc = quire->dot_round(arow, wrow, k);
+              break;
+            case AccumMode::kSerial:
               for (std::size_t i = 0; i < k; ++i) {
                 acc = posit::add(acc, posit::mul(arow[i], wrow[i], spec), spec);
               }
-            }
-            break;
-          case AccumMode::kFma:
-            if (lut_fma) {
-              for (std::size_t i = 0; i < k; ++i) acc = luts.fma->at(acodes[i], wcodes[i], acc);
-            } else {
+              break;
+            case AccumMode::kFma:
               for (std::size_t i = 0; i < k; ++i) acc = posit::fma(arow[i], wrow[i], acc, spec);
+              break;
+          }
+        } else {
+          const std::uint32_t* acodes = a_codes + r * k;
+          if (mode == AccumMode::kSerial) {
+            // Two table reads per term: the multiply and the accumulator add
+            // both come out of L2-resident LUTs.
+            for (std::size_t i = 0; i < k; ++i) {
+              acc = luts.add->at(acc, luts.mul->at(acodes[i], wcodes[i]));
             }
-            break;
+          } else {
+            for (std::size_t i = 0; i < k; ++i) acc = luts.fma->at(acodes[i], wcodes[i], acc);
+          }
         }
         if (!bias.empty()) {
           acc = luts.add != nullptr ? luts.add->at(acc, bcode) : posit::add(acc, bcode, spec);
@@ -156,24 +154,39 @@ void engine_gemm(const EncodedTensor& a, const EncodedTensor& w, const EncodedTe
   }
 }
 
-void encode_conv_panel(const float* cols, std::size_t patch, std::size_t pixels,
-                       const PositSpec& spec, EncodedTensor& panel) {
-  panel.spec = spec;
-  panel.shape = {pixels, patch};
-  panel.count = pixels * patch;
-  // Encode transposed (each output pixel's patch contiguous) in parallel
-  // into the code scratch, then bit-pack serially: pack_codes RMWs 64-bit
-  // windows that straddle neighbor ranges, so the pack must not be split.
-  std::vector<std::uint32_t>& codes = tl_encode_codes;
-  codes.resize(panel.count);
-#pragma omp parallel for schedule(static) if (pixels > 8)
-  for (std::size_t t = 0; t < pixels; ++t) {
-    for (std::size_t p = 0; p < patch; ++p) {
-      codes[t * patch + p] = posit::from_double(cols[p * pixels + t], spec, kEncodeRound);
-    }
+void engine_linear(const float* x, std::size_t n, const EngineWeights& wt, ActScratch& scratch,
+                   float* y) {
+  const std::size_t in = wt.w.shape[1], out = wt.w.shape[0];
+  const bool lanes = reads_lanes(wt.mode, wt.luts);
+  scratch.codes.resize(n * in);
+  encode_codes(x, n * in, wt.w.spec, scratch.codes.data());
+  if (lanes) {
+    scratch.ops.resize(n * in);
+    posit::decode_unpacked(scratch.codes.data(), n * in, wt.w.spec, scratch.ops.data());
   }
-  panel.packed.assign(posit::packed_capacity(panel.count, spec), 0u);
-  posit::pack_codes(codes.data(), 0, panel.count, spec, panel.packed.data());
+  engine_gemm(scratch.codes.data(), lanes ? scratch.ops.data() : nullptr, wt, n, in, out, y, out,
+              1);
+}
+
+void engine_conv2d(const float* x, std::size_t batch, const tensor::Conv2dGeom& geom,
+                   const EngineWeights& wt, ActScratch& scratch, float* y) {
+  const std::size_t image = geom.in_c * geom.in_h * geom.in_w;
+  const std::size_t pixels = geom.out_h() * geom.out_w();
+  const std::size_t patch = geom.patch();
+  const bool lanes = reads_lanes(wt.mode, wt.luts);
+  scratch.input.resize(image);
+  scratch.codes.resize(pixels * patch);
+  if (lanes) scratch.ops.resize(pixels * patch);
+  for (std::size_t nidx = 0; nidx < batch; ++nidx) {
+    encode_codes(x + nidx * image, image, wt.w.spec, scratch.input.data());
+    gather_patches(scratch.input.data(), geom, scratch.codes.data());
+    if (lanes) {
+      posit::decode_unpacked(scratch.codes.data(), pixels * patch, wt.w.spec, scratch.ops.data());
+    }
+    // Output plane for this image is [out_c, pixels]: column stride `pixels`.
+    engine_gemm(scratch.codes.data(), lanes ? scratch.ops.data() : nullptr, wt, pixels, patch,
+                geom.out_c, y + nidx * geom.out_c * pixels, 1, pixels);
+  }
 }
 
 }  // namespace detail
@@ -235,25 +248,16 @@ std::uint32_t dot(const std::uint32_t* a, const std::uint32_t* b, std::size_t co
 
 EncodedTensor encode_pack(const Tensor& t, const PositSpec& spec) {
   EncodedTensor e;
+  e.spec = spec;
   e.shape = t.shape();
-  encode_pack_into(t.data(), t.numel(), spec, e);
+  e.count = t.numel();
+  // Parallel encode, serial bit-pack: pack_codes RMWs 64-bit windows that
+  // straddle neighbouring ranges, so the pack must not be split.
+  std::vector<std::uint32_t> codes(e.count);
+  detail::encode_codes(t.data(), e.count, spec, codes.data());
+  e.packed.assign(posit::packed_capacity(e.count, spec), 0u);
+  posit::pack_codes(codes.data(), 0, e.count, spec, e.packed.data());
   return e;
-}
-
-void encode_pack_into(const float* src, std::size_t count, const PositSpec& spec,
-                      EncodedTensor& out) {
-  out.spec = spec;
-  out.count = count;
-  // Parallel encode into the code scratch, serial bit-pack (see
-  // encode_conv_panel for why the pack cannot be split across threads).
-  std::vector<std::uint32_t>& codes = detail::tl_encode_codes;
-  codes.resize(count);
-#pragma omp parallel for schedule(static) if (count > 4096)
-  for (std::size_t i = 0; i < count; ++i) {
-    codes[i] = posit::from_double(src[i], spec, kEncodeRound);
-  }
-  out.packed.assign(posit::packed_capacity(count, spec), 0u);
-  posit::pack_codes(codes.data(), 0, count, spec, out.packed.data());
 }
 
 Tensor posit_linear(const Tensor& x, const EncodedTensor& w, const EncodedTensor& bias,
@@ -269,11 +273,11 @@ Tensor posit_linear(const Tensor& x, const EncodedTensor& w, const EncodedTensor
   if (!bias.empty() && !(bias.spec == w.spec)) {
     throw std::invalid_argument("posit_linear: bias/weight spec mismatch");
   }
-  const EncodedTensor xe = encode_pack(x, w.spec);
   const detail::EngineLuts luts = detail::resolve_luts(w.spec, mode);
   std::vector<posit::Quire> pool = make_quire_pool(w.spec, mode);
+  detail::ActScratch scratch;
   Tensor y({n, out});
-  detail::engine_gemm(xe, w, bias, n, in, out, mode, y.data(), out, 1, luts, pool.data());
+  detail::engine_linear(x.data(), n, {w, bias, mode, luts, pool.data()}, scratch, y.data());
   return y;
 }
 
@@ -290,11 +294,14 @@ Tensor posit_conv2d(const Tensor& x, const EncodedTensor& w, const EncodedTensor
                     const tensor::Conv2dGeom& geom, AccumMode mode) {
   geom.validate();
   const PositSpec spec = w.spec;
+  if (x.shape().rank() != 4 || x.shape()[1] != geom.in_c || x.shape()[2] != geom.in_h ||
+      x.shape()[3] != geom.in_w) {
+    throw std::invalid_argument("posit_conv2d: input shape does not match the geometry");
+  }
   const std::size_t batch = x.shape()[0];
-  const std::size_t oh = geom.out_h(), ow = geom.out_w();
-  const std::size_t pixels = oh * ow;
-  const std::size_t patch = geom.patch();
-  if (w.numel() != geom.out_c * patch) throw std::invalid_argument("posit_conv2d: weight mismatch");
+  if (w.numel() != geom.out_c * geom.patch()) {
+    throw std::invalid_argument("posit_conv2d: weight mismatch");
+  }
   if (!bias.empty() && bias.numel() != geom.out_c) {
     throw std::invalid_argument("posit_conv2d: bias shape mismatch");
   }
@@ -304,18 +311,10 @@ Tensor posit_conv2d(const Tensor& x, const EncodedTensor& w, const EncodedTensor
 
   const detail::EngineLuts luts = detail::resolve_luts(spec, mode);
   std::vector<posit::Quire> pool = make_quire_pool(spec, mode);
-  Tensor out({batch, geom.out_c, oh, ow});
-  Tensor cols({patch, pixels});
-  EncodedTensor panel;
-  for (std::size_t nidx = 0; nidx < batch; ++nidx) {
-    tensor::im2col(x.data() + nidx * geom.in_c * geom.in_h * geom.in_w, geom, cols.data());
-    // Encode the unfolded image once, transposed so each output pixel's patch
-    // is contiguous (the decode-once activation panel).
-    detail::encode_conv_panel(cols.data(), patch, pixels, spec, panel);
-    // Output plane for this image is [out_c, pixels]: column stride `pixels`.
-    detail::engine_gemm(panel, w, bias, pixels, patch, geom.out_c, mode,
-                        out.data() + nidx * geom.out_c * pixels, 1, pixels, luts, pool.data());
-  }
+  detail::ActScratch scratch;
+  Tensor out({batch, geom.out_c, geom.out_h(), geom.out_w()});
+  detail::engine_conv2d(x.data(), batch, geom, {w, bias, mode, luts, pool.data()}, scratch,
+                        out.data());
   return out;
 }
 

@@ -11,15 +11,17 @@
 //   * kFma    — with a fused multiply-add chain (one rounding per term,
 //               the behavior of the paper's Fig. 4 MAC pipeline).
 //
-// Panels are stored bit-packed at format width (EncodedTensor) and decoded
-// blockwise, each packed value exactly once per GEMM: the activation panel
-// into per-call scratch up front, each weight row into O(k) per-thread
-// scratch as the column loop streams it — all through the SIMD batch-of-8
+// Weight panels are stored bit-packed at format width (EncodedTensor); each
+// GEMM decodes every packed weight row once, into O(k) per-thread scratch,
+// as its column loop streams it. Activations are encoded once per element
+// (one from_double each), gathered as codes into a per-image transposed
+// patch panel and decoded there — all decoding through the SIMD batch-of-8
 // decoder (posit/simd.hpp). The hot loops then run on posit::Unpacked lanes
-// with per-thread quires OpenMP-distributed over output columns; n <= 8
-// formats dispatch at runtime onto tabulated kernels (MulLut/AddLut for the
-// serial chain and every bias add, the pair-classed FmaLut for the fma
-// chain). Results are bit-identical to the retained scalar reference path
+// with per-thread quires OpenMP-distributed over output columns (kQuire: one
+// fused Quire::dot_round per output); n <= 8 formats dispatch at runtime
+// onto tabulated kernels (MulLut/AddLut for the serial chain and every bias
+// add, the pair-classed FmaLut for the fma chain). Results are
+// bit-identical to the retained scalar reference path
 // (posit_linear_reference / posit_conv2d_reference) at every spec and
 // accumulation mode, to single-threaded runs at any thread count, and to
 // the scalar decode path (PDNN_NO_AVX2=1).
@@ -49,21 +51,16 @@ enum class AccumMode {
 };
 
 /// The single rounding mode used for every float -> posit encode on the
-/// inference path (weights, activations, im2col panels, BN constants).
+/// inference path (weights, activations, BN constants).
 constexpr posit::RoundMode kEncodeRound = posit::RoundMode::kNearestEven;
-
-/// Activation rows (or output pixels) per work item of the engine GEMM's
-/// block-decode phase: the packed activation panel is unpacked and decoded
-/// in slices of this many rows, team-parallel, before the column loop runs.
-constexpr std::size_t kActTile = 16;
 
 /// Compressed operand panel: a tensor's n-bit posit codes bit-packed at
 /// format width (posit/packed.hpp block codec) — ⌈n/8⌉ bytes per value, the
 /// paper's model-size story as the engine's resident layout. The GEMM inner
-/// loops never touch this form directly: engine_gemm decodes each packed
-/// value exactly once per call into transient scratch (SIMD batch-of-8
-/// group decode, ragged tail scalar), so steady-state panel memory is the
-/// packed payload alone.
+/// loops never touch this form directly: the engine decodes each packed
+/// weight row once per call into transient scratch (SIMD batch-of-8 group
+/// decode, ragged tail scalar), so steady-state panel memory is the packed
+/// payload alone.
 struct EncodedTensor {
   posit::PositSpec spec{8, 1};
   tensor::Shape shape;
@@ -79,12 +76,6 @@ struct EncodedTensor {
 /// Encode (under kEncodeRound) and bit-pack a whole tensor in one pass.
 EncodedTensor encode_pack(const tensor::Tensor& t, const posit::PositSpec& spec);
 
-/// Encode `count` floats into an existing panel, reusing its storage — the
-/// session's steady-state activation path (no allocation once shapes
-/// settle). Sets out.spec/out.count; the caller owns out.shape.
-void encode_pack_into(const float* src, std::size_t count, const posit::PositSpec& spec,
-                      EncodedTensor& out);
-
 /// Dense posit matrix-vector building block: y = x W^T + b, all posit.
 /// x is [N, in] (N = 0 yields an empty [0, out] result), w is [out, in],
 /// bias optional ([out] or empty). Encodes the weights per call; prefer the
@@ -93,7 +84,7 @@ void encode_pack_into(const float* src, std::size_t count, const posit::PositSpe
 tensor::Tensor posit_linear(const tensor::Tensor& x, const tensor::Tensor& w, const tensor::Tensor& bias,
                             const posit::PositSpec& spec, AccumMode mode);
 
-/// Engine form: weights (and optional bias) already encoded+unpacked.
+/// Engine form: weights (and optional bias) already encoded and packed.
 tensor::Tensor posit_linear(const tensor::Tensor& x, const EncodedTensor& w, const EncodedTensor& bias,
                             AccumMode mode);
 
@@ -104,7 +95,7 @@ tensor::Tensor posit_linear(const tensor::Tensor& x, const EncodedTensor& w, con
 tensor::Tensor posit_conv2d(const tensor::Tensor& x, const tensor::Tensor& w, const tensor::Tensor& bias,
                             const tensor::Conv2dGeom& geom, const posit::PositSpec& spec, AccumMode mode);
 
-/// Engine form: weights/bias already encoded+unpacked.
+/// Engine form: weights/bias already encoded and packed.
 tensor::Tensor posit_conv2d(const tensor::Tensor& x, const EncodedTensor& w, const EncodedTensor& bias,
                             const tensor::Conv2dGeom& geom, AccumMode mode);
 

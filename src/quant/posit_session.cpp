@@ -64,23 +64,19 @@ struct Binding {
 };
 
 /// The posit-side state attached to one plan step: resolved format and
-/// accumulation mode, LUT kernels, quire-arena index, encoded weight panels,
-/// BN constants, and the per-step scratch the hot loop reuses.
+/// accumulation mode, LUT kernels, quire-arena index, encoded weight panels
+/// and BN constants.
 struct StepState {
   PositSpec spec{16, 1};
   AccumMode mode = AccumMode::kQuire;
   detail::EngineLuts luts;
-  int arena = -1;  ///< per-thread quire pool index (kQuire GEMMs, GAP, joins)
+  int arena = -1;  ///< per-thread quire pool index (kQuire GEMMs, GAP)
 
   Binding weight, bias;  // bias.param == nullptr -> no bias (panel stays empty)
 
   // bn: constants derived from (gamma, beta, running stats) at encode time
   std::uint64_t gamma_version = 0, beta_version = 0, stats_version = 0;
   std::vector<std::uint32_t> bn_scale, bn_mean, bn_shift;
-
-  // steady-state scratch (grow-only)
-  Tensor cols;        // conv im2col columns
-  EncodedTensor act;  // encoded activation panel
 };
 
 }  // namespace
@@ -97,6 +93,7 @@ struct PositSession::Impl final : exec::Backend {
     std::vector<posit::Quire> quires;  // one per OpenMP thread
   };
   std::vector<Arena> arenas;
+  detail::ActScratch act;  // conv/linear activation scratch, shared by every step
 
   std::uint64_t encodes = 0;
   std::size_t bound = 0;
@@ -125,6 +122,10 @@ struct PositSession::Impl final : exec::Backend {
 
   posit::Quire* pool(const StepState& s) {
     return s.arena >= 0 ? arenas[static_cast<std::size_t>(s.arena)].quires.data() : nullptr;
+  }
+
+  detail::EngineWeights gemm(const StepState& s) {
+    return {s.weight.panel, s.bias.panel, s.mode, s.luts, pool(s)};
   }
 
   void bind(Binding& b, nn::Param& p, const PositSpec& spec) {
@@ -167,7 +168,7 @@ struct PositSession::Impl final : exec::Backend {
 
   const Tensor& run_impl(const Tensor& x) override;
 
-  void exec_linear(const exec::Step& step, StepState& s, const Tensor& in, Tensor& out);
+  void exec_linear(StepState& s, const Tensor& in, Tensor& out);
   void exec_conv(const exec::Step& step, StepState& s, const Tensor& in, Tensor& out);
   void exec_bn(const exec::Step& step, StepState& s, const Tensor& in, Tensor& out);
   void exec_gap(StepState& s, const Tensor& in, Tensor& out);
@@ -227,7 +228,6 @@ void PositSession::Impl::compile_step(const exec::Step& step, StepState& s) {
       s.spec = cfg.spec_for(step.name, step.cls);
       s.mode = cfg.mode_for(step.name, step.cls);
       s.luts = detail::resolve_luts(s.spec, s.mode);
-      if (s.mode == AccumMode::kQuire) s.arena = arena_for(s.spec);
       break;
     case exec::OpKind::kRelu:
     case exec::OpKind::kMaxPool2x2:
@@ -281,7 +281,7 @@ const Tensor& PositSession::Impl::run_impl(const Tensor& x) {
         static_cast<std::size_t>(eplan.slots[static_cast<std::size_t>(step.out)].buffer),
         out_shape);
     switch (step.op) {
-      case exec::OpKind::kLinear: exec_linear(step, s, in, out); break;
+      case exec::OpKind::kLinear: exec_linear(s, in, out); break;
       case exec::OpKind::kConv2d: exec_conv(step, s, in, out); break;
       case exec::OpKind::kBatchNorm: exec_bn(step, s, in, out); break;
       case exec::OpKind::kRelu: exec::relu_kernel(in, out); break;
@@ -300,38 +300,17 @@ const Tensor& PositSession::Impl::run_impl(const Tensor& x) {
       eplan.slots[static_cast<std::size_t>(eplan.output_slot)].buffer));
 }
 
-void PositSession::Impl::exec_linear(const exec::Step& step, StepState& s, const Tensor& in,
-                                     Tensor& out) {
-  const std::size_t n = in.shape()[0];
-  s.act.shape = {n, step.in_c};
-  encode_pack_into(in.data(), in.numel(), s.spec, s.act);
-  detail::engine_gemm(s.act, s.weight.panel, s.bias.panel, n, step.in_c, step.out_c, s.mode,
-                      out.data(), step.out_c, 1, s.luts, pool(s));
+void PositSession::Impl::exec_linear(StepState& s, const Tensor& in, Tensor& out) {
+  detail::engine_linear(in.data(), in.shape()[0], gemm(s), act, out.data());
 }
 
 void PositSession::Impl::exec_conv(const exec::Step& step, StepState& s, const Tensor& in,
                                    Tensor& out) {
+  // The 1x1 elision flag needs no special case: the patch gather of a
+  // 1x1/s1/p0 window is the plain [C, H*W] -> [H*W, C] transpose.
   const tensor::Conv2dGeom geom{step.in_c,   in.shape()[2], in.shape()[3], step.out_c,
                                 step.kernel, step.stride,   step.pad,      step.kernel_w};
-  const std::size_t batch = in.shape()[0];
-  const std::size_t pixels = geom.out_h() * geom.out_w();
-  const std::size_t patch = geom.patch();
-  if (!step.elide_im2col) s.cols.resize({patch, pixels});
-  for (std::size_t nidx = 0; nidx < batch; ++nidx) {
-    const float* slice = in.data() + nidx * step.in_c * geom.in_h * geom.in_w;
-    const float* bmat;
-    if (step.elide_im2col) {
-      // 1x1/s1/p0: the input slice [C, H*W] IS the patch matrix — encode it
-      // straight into the activation panel, no gather.
-      bmat = slice;
-    } else {
-      tensor::im2col(slice, geom, s.cols.data());
-      bmat = s.cols.data();
-    }
-    detail::encode_conv_panel(bmat, patch, pixels, s.spec, s.act);
-    detail::engine_gemm(s.act, s.weight.panel, s.bias.panel, pixels, patch, step.out_c, s.mode,
-                        out.data() + nidx * step.out_c * pixels, 1, pixels, s.luts, pool(s));
-  }
+  detail::engine_conv2d(in.data(), in.shape()[0], geom, gemm(s), act, out.data());
 }
 
 void PositSession::Impl::exec_bn(const exec::Step& step, StepState& s, const Tensor& in,
@@ -371,7 +350,7 @@ void PositSession::Impl::exec_gap(StepState& s, const Tensor& in, Tensor& out) {
       posit::from_double(static_cast<double>(plane), s.spec, kEncodeRound);
   posit::Quire* quires = pool(s);
   // Each (image, channel) cell owns its reduction; per-thread quires.
-#pragma omp parallel
+#pragma omp parallel if (n * c > 1 && n * c * plane > 4096)
   {
 #ifdef _OPENMP
     posit::Quire& quire = quires[omp_get_thread_num()];
@@ -400,35 +379,17 @@ void PositSession::Impl::exec_join(StepState& s, const Tensor& main, const Tenso
   const float* ma = main.data();
   const float* sk = skip.data();
   float* dst = out.data();
-  posit::Quire* quires = pool(s);
-  // Join then ReLU, all in the block's format. In kQuire mode both branch
-  // terms accumulate through the session's quire arena (one rounding — the
-  // same value posit::add produces, by the quire's exactness); serial/fma
-  // modes use the rounded add, via its table when available.
-#pragma omp parallel if (numel > 16384)
-  {
-#ifdef _OPENMP
-    const int tid = omp_get_thread_num();
-#else
-    const int tid = 0;
-#endif
-    posit::Quire* quire = quires != nullptr ? &quires[tid] : nullptr;
-#pragma omp for schedule(static)
-    for (std::size_t i = 0; i < numel; ++i) {
-      const std::uint32_t a = posit::from_double(ma[i], s.spec, kEncodeRound);
-      const std::uint32_t b = posit::from_double(sk[i], s.spec, kEncodeRound);
-      std::uint32_t joined;
-      if (quire != nullptr) {
-        quire->clear();
-        quire->add_posit(a);
-        quire->add_posit(b);
-        joined = quire->to_posit();
-      } else {
-        joined = s.luts.add != nullptr ? s.luts.add->at(a, b) : posit::add(a, b, s.spec);
-      }
-      const float v = static_cast<float>(posit::to_double(joined, s.spec));
-      dst[i] = v > 0.0f ? v : 0.0f;
-    }
+  // Join then ReLU, all in the block's format: one correctly rounded add
+  // (via its table when available) — in kQuire mode too, where the exact
+  // two-term sum rounded once is that same add.
+#pragma omp parallel for schedule(static) if (numel > 16384)
+  for (std::size_t i = 0; i < numel; ++i) {
+    const std::uint32_t a = posit::from_double(ma[i], s.spec, kEncodeRound);
+    const std::uint32_t b = posit::from_double(sk[i], s.spec, kEncodeRound);
+    const std::uint32_t joined =
+        s.luts.add != nullptr ? s.luts.add->at(a, b) : posit::add(a, b, s.spec);
+    const float v = static_cast<float>(posit::to_double(joined, s.spec));
+    dst[i] = v > 0.0f ? v : 0.0f;
   }
 }
 
@@ -488,12 +449,6 @@ std::size_t PositSession::panel_bytes() const {
   return bytes;
 }
 
-std::size_t PositSession::panel_scratch_bytes() const {
-  std::size_t bytes = 0;
-  for (const StepState& s : impl_->state) {
-    bytes += s.act.packed.capacity() * sizeof(std::uint8_t) + s.cols.numel() * sizeof(float);
-  }
-  return bytes;
-}
+std::size_t PositSession::panel_scratch_bytes() const { return impl_->act.bytes(); }
 
 }  // namespace pdnn::quant

@@ -7,14 +7,14 @@
 //
 //   * compile() lowers the module graph through exec::GraphBuilder into the
 //     backend-neutral ExecPlan (Sequential nesting and ResidualBlock
-//     skip-connections included — the residual join accumulates both
-//     branches through the session's quire path), lets exec::ArenaPlanner
+//     skip-connections included — the residual join is one correctly
+//     rounded posit add of both branches), lets exec::ArenaPlanner
 //     fold every intermediate tensor onto lifetime-shared arena buffers,
 //     then resolves each step's (PositSpec, AccumMode) from SessionConfig,
 //     pre-encodes every weight/bias/BN constant into session-owned
 //     EncodedTensor panels, resolves the n <= 8 LUT kernels, and plans
-//     per-thread quire arenas plus per-step scratch (im2col columns,
-//     activation panels).
+//     per-thread quire arenas. One activation scratch (an image's codes, its
+//     patch panel and decoded lanes) serves every step.
 //   * run() executes the compiled plan. In steady state (shapes repeat, no
 //     weight mutation) it performs no allocation and takes no lock: panels,
 //     arenas, and scratch are reused; Param::version mismatches — an
@@ -121,15 +121,15 @@ class PositSession {
   std::uint64_t encode_count() const;
   /// Resident model footprint: packed weight/bias code payloads plus the
   /// encoded BN constant vectors — the bytes that scale with clone count and
-  /// decide how many worker backends stay cache-resident. Per-step
+  /// decide how many worker backends stay cache-resident. Run-time
   /// activation/decode scratch is deliberately excluded (it used to be
   /// charged here, double-counting run-time scratch as model size); see
   /// panel_scratch_bytes().
   std::size_t panel_bytes() const;
-  /// Steady-state run scratch the session owns: per-step packed activation
-  /// panels and im2col column buffers (grow-only, sized by the largest batch
-  /// seen). The engine's per-thread decode scratch is reported separately by
-  /// detail::engine_scratch_bytes().
+  /// Steady-state run scratch the session owns: the activation codes, patch
+  /// panel and decoded lanes its conv/linear steps share (grow-only, sized
+  /// by the largest image or linear batch seen). The engine's O(k)
+  /// per-thread weight-row scratch is not counted.
   std::size_t panel_scratch_bytes() const;
 
  private:

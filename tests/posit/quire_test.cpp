@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
+#include <vector>
 
 #include "posit/quire.hpp"
+#include "posit/simd.hpp"
 
 namespace pdnn::posit {
 namespace {
@@ -183,6 +186,82 @@ TEST_P(QuireFormatTest, AccumulateDotMatchesSequentialAddProduct) {
   EXPECT_TRUE(q.is_nar());
 }
 
+TEST_P(QuireFormatTest, DotRoundMatchesClearAccumulateToPosit) {
+  // The engine's fused per-output path must return the code, and leave the
+  // register, of its three-call spelling — on both deposit paths, at every
+  // ragged count around the SIMD group of 8, whatever the quire held before
+  // (finite or NaR), with zero and NaR operands mixed in.
+  const PositSpec s = spec();
+  std::mt19937_64 rng(47);
+  std::vector<std::size_t> counts;
+  for (std::size_t c = 0; c <= 40; ++c) counts.push_back(c);
+  counts.push_back(512);
+  const auto bits = [](double v) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+  for (const bool scalar : {false, true}) {
+    simd::force_disable(scalar);
+    Quire fused(s);  // reused: each call must leave its scratch clean
+    for (const std::size_t count : counts) {
+      for (int trial = 0; trial < 12; ++trial) {
+        std::vector<Unpacked> a(count), b(count);
+        for (std::size_t i = 0; i < count; ++i) {
+          std::uint32_t ca = static_cast<std::uint32_t>(rng()) & s.mask();
+          std::uint32_t cb = static_cast<std::uint32_t>(rng()) & s.mask();
+          if (rng() % 5 == 0) ca = 0;
+          if (ca == s.nar_code() && trial % 4 != 0) ca = 1;  // NaR in a quarter of trials only
+          if (cb == s.nar_code()) cb = 0;
+          a[i] = decode_unpacked(ca, s);
+          b[i] = decode_unpacked(cb, s);
+        }
+        if (count > 0 && trial == 3) a[count / 2] = decode_unpacked(s.nar_code(), s);
+        const std::uint32_t prior = static_cast<std::uint32_t>(rng()) & s.mask();
+        Quire split(s);
+        split.add_posit(prior);
+        fused.add_posit(prior);
+        split.clear();
+        split.accumulate_dot(a.data(), b.data(), count);
+        const std::uint32_t want = split.to_posit();
+        ASSERT_EQ(fused.dot_round(a.data(), b.data(), count), want)
+            << s.to_string() << " count " << count << " trial " << trial << " scalar " << scalar;
+        ASSERT_EQ(fused.is_nar(), split.is_nar());
+        ASSERT_EQ(fused.to_posit(), want);
+        ASSERT_EQ(bits(fused.to_double()), bits(split.to_double()));
+      }
+    }
+  }
+  simd::force_disable(false);
+}
+
+TEST_P(QuireFormatTest, AccumulateDotOntoHeldValueMatchesSequential) {
+  // The merge adds the dot into whatever the register holds — negative
+  // values included — exactly as sequential deposits would.
+  const PositSpec s = spec();
+  std::mt19937_64 rng(53);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::uint32_t prior = static_cast<std::uint32_t>(rng()) & s.mask();
+    if (prior == s.nar_code()) continue;
+    std::vector<Unpacked> a, b;
+    Quire sequential(s), batched(s);
+    sequential.add_posit(prior);
+    batched.add_posit(prior);
+    for (int i = 0; i < 21; ++i) {
+      std::uint32_t ca = static_cast<std::uint32_t>(rng()) & s.mask();
+      std::uint32_t cb = static_cast<std::uint32_t>(rng()) & s.mask();
+      if (ca == s.nar_code()) ca = 0;
+      if (cb == s.nar_code()) cb = 0;
+      a.push_back(decode_unpacked(ca, s));
+      b.push_back(decode_unpacked(cb, s));
+      sequential.add_product(ca, cb);
+    }
+    batched.accumulate_dot(a.data(), b.data(), a.size());
+    ASSERT_EQ(batched.to_posit(), sequential.to_posit()) << s.to_string() << " trial " << trial;
+    ASSERT_DOUBLE_EQ(batched.to_double(), sequential.to_double());
+  }
+}
+
 TEST_P(QuireFormatTest, UnpackedNarPoisonsLikeCoded) {
   const PositSpec s = spec();
   Quire q(s);
@@ -193,6 +272,39 @@ TEST_P(QuireFormatTest, UnpackedNarPoisonsLikeCoded) {
   q.clear();
   q.add_product(decode_unpacked(s.nar_code(), s), decode_unpacked(0u, s));
   EXPECT_TRUE(q.is_nar());
+}
+
+// The residual join rounds a two-term sum once with posit::add instead of a
+// quire round trip; this pins that the two are the same function.
+std::uint32_t quire_sum(Quire& q, std::uint32_t a, std::uint32_t b) {
+  q.clear();
+  q.add_posit(a);
+  q.add_posit(b);
+  return q.to_posit();
+}
+
+TEST(QuireJoin, TwoTermQuireSumIsTheRoundedAddExhaustivelyAtEightBits) {
+  for (int es = 0; es <= 2; ++es) {
+    const PositSpec s{8, es};
+    Quire q(s);
+    for (std::uint32_t a = 0; a < 256; ++a) {
+      for (std::uint32_t b = 0; b < 256; ++b) {
+        ASSERT_EQ(quire_sum(q, a, b), add(a, b, s)) << s.to_string() << " " << a << " + " << b;
+      }
+    }
+  }
+}
+
+TEST(QuireJoin, TwoTermQuireSumIsTheRoundedAddOnRandomPairs) {
+  for (const PositSpec s : {PositSpec{16, 1}, PositSpec{32, 2}}) {
+    Quire q(s);
+    std::mt19937_64 rng(59);
+    for (int t = 0; t < 1000000; ++t) {
+      const std::uint32_t a = static_cast<std::uint32_t>(rng()) & s.mask();
+      const std::uint32_t b = static_cast<std::uint32_t>(rng()) & s.mask();
+      ASSERT_EQ(quire_sum(q, a, b), add(a, b, s)) << s.to_string() << " " << a << " + " << b;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(FormatSweep, QuireFormatTest,

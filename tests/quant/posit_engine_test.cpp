@@ -1,10 +1,13 @@
 // posit_engine_test.cpp — the decode-once engine against the retained scalar
 // reference: exact bit-equality over the full spec grid and every
 // accumulation mode, thread-count invariance, and the engine edge cases
-// (empty batches, missing bias, 1x1 windows, degenerate geometry).
+// (empty batches, missing bias, 1x1 windows, degenerate geometry), plus a
+// conv geometry sweep through both the free function and PositSession.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -13,7 +16,10 @@
 #endif
 
 #include "nn/resnet.hpp"
+#include "posit/simd.hpp"
+#include "quant/engine_gemm.hpp"
 #include "quant/posit_inference.hpp"
+#include "quant/posit_session.hpp"
 #include "tensor/ops.hpp"
 
 namespace pdnn::quant {
@@ -40,7 +46,7 @@ const std::vector<AccumMode>& mode_grid() {
 
 bool bit_identical(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&
-         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+         (a.numel() == 0 || std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0);
 }
 
 TEST(PositEngine, LinearBitIdenticalToScalarReferenceAcrossSpecGridAndModes) {
@@ -197,6 +203,117 @@ TEST(PositEngine, OneByOneConvMatchesReference) {
   }
 }
 
+TEST(PositEngine, ThreadedGemmsAboveTheWorkThresholdBitIdenticalToSerial) {
+#ifdef _OPENMP
+  // Shapes past detail::kParallelMacs, so the column loop really forks.
+  Rng rng(79);
+  const Tensor x = Tensor::randn({64, 96}, rng);
+  const Tensor w = Tensor::randn({48, 96}, rng, 0.3f);
+  const Tensor bias = Tensor::randn({48}, rng, 0.2f);
+  const tensor::Conv2dGeom g{8, 10, 10, 8, 3, 1, 1};
+  const Tensor xc = Tensor::randn({1, 8, 10, 10}, rng);
+  const Tensor wc = Tensor::randn({8, 8, 3, 3}, rng, 0.3f);
+  const Tensor none;
+  ASSERT_GT(std::size_t{64} * 96 * 48, detail::kParallelMacs);
+  ASSERT_GT(g.out_h() * g.out_w() * g.patch() * g.out_c, detail::kParallelMacs);
+  const int restore = omp_get_max_threads();
+  for (const PositSpec& spec : {PositSpec{8, 1}, PositSpec{16, 1}}) {
+    for (const AccumMode mode : mode_grid()) {
+      omp_set_num_threads(1);
+      const Tensor lin = posit_linear(x, w, bias, spec, mode);
+      const Tensor conv = posit_conv2d(xc, wc, none, g, spec, mode);
+      EXPECT_TRUE(bit_identical(lin, posit_linear_reference(x, w, bias, spec, mode)));
+      for (const int threads : {2, 4}) {
+        omp_set_num_threads(threads);
+        EXPECT_TRUE(bit_identical(posit_linear(x, w, bias, spec, mode), lin))
+            << spec.to_string() << " mode " << static_cast<int>(mode) << " threads " << threads;
+        EXPECT_TRUE(bit_identical(posit_conv2d(xc, wc, none, g, spec, mode), conv))
+            << spec.to_string() << " mode " << static_cast<int>(mode) << " threads " << threads;
+      }
+    }
+  }
+  omp_set_num_threads(restore);
+#else
+  GTEST_SKIP() << "built without OpenMP";
+#endif
+}
+
+struct ConvCase {
+  std::size_t in_c, in_h, in_w, out_c, kh, kw, stride, pad;
+  bool bias;
+  bool elided;  ///< the plan's 1x1/s1/p0 elision pass marks this step
+};
+
+TEST(PositEngine, ConvSweepThroughSessionAndFreeFunctionMatchesReference) {
+  // Strides 1/2, pads 0-2, square and rectangular windows, 1x1 windows the
+  // plan elides and ones it cannot, in_c 1-5, batches 0/1/3, and NaN/+-inf
+  // inputs (NaR codes) — over the spec grid x every mode, SIMD on and off.
+  const std::vector<ConvCase> cases = {
+      {1, 5, 6, 2, 3, 3, 1, 0, true, false},  {2, 6, 5, 3, 3, 3, 2, 1, false, false},
+      {3, 5, 5, 2, 3, 2, 1, 2, true, false},  {4, 7, 6, 3, 2, 3, 2, 0, false, false},
+      {5, 4, 5, 2, 1, 1, 1, 0, true, true},   {3, 5, 4, 3, 1, 1, 2, 0, false, false},
+      {2, 3, 4, 2, 1, 1, 1, 1, true, false},  {2, 4, 4, 3, 5, 5, 1, 2, false, false},
+  };
+  Rng rng(83);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const ConvCase& cc : cases) {
+    const tensor::Conv2dGeom g{cc.in_c, cc.in_h, cc.in_w, cc.out_c, cc.kh, cc.stride, cc.pad, cc.kw};
+    nn::Sequential net("n");
+    Rng init(1);
+    auto conv = std::make_unique<nn::Conv2d>("c", cc.in_c, cc.out_c, cc.kh, cc.stride, cc.pad, init,
+                                             cc.bias, cc.kw);
+    conv->weight().value = Tensor::randn({cc.out_c, cc.in_c, cc.kh, cc.kw}, rng, 0.4f);
+    conv->weight().mark_updated();
+    if (cc.bias) {
+      conv->bias().value = Tensor::randn({cc.out_c}, rng, 0.2f);
+      conv->bias().mark_updated();
+    }
+    const Tensor w = conv->weight().value;
+    const Tensor bias = cc.bias ? conv->bias().value : Tensor();
+    net.add(std::move(conv));
+
+    Tensor x3 = Tensor::randn({3, cc.in_c, cc.in_h, cc.in_w}, rng);
+    x3[1] = nan;
+    x3[x3.numel() / 2] = inf;
+    x3[x3.numel() - 2] = -inf;
+    Tensor x1({1, cc.in_c, cc.in_h, cc.in_w});
+    std::memcpy(x1.data(), x3.data() + x3.numel() / 3 * 2, x1.numel() * sizeof(float));
+    const Tensor x0({0, cc.in_c, cc.in_h, cc.in_w});
+    const std::vector<const Tensor*> inputs = {&x3, &x1, &x0};
+
+    for (const PositSpec& spec : spec_grid()) {
+      for (const AccumMode mode : mode_grid()) {
+        SessionConfig cfg;
+        cfg.spec = spec;
+        cfg.mode = mode;
+        PositSession session = PositSession::compile(net, cfg);
+        ASSERT_EQ(session.plan().steps.at(0).elide_im2col, cc.elided);
+        for (const Tensor* x : inputs) {
+          const Tensor ref = posit_conv2d_reference(*x, w, bias, g, spec, mode);
+          if (x == &x3) {
+            bool nar_out = false;
+            for (std::size_t i = 0; i < ref.numel(); ++i) nar_out = nar_out || ref[i] != ref[i];
+            ASSERT_TRUE(nar_out) << "the NaN/inf taps must reach some output as NaR";
+          }
+          for (const bool scalar : {false, true}) {
+            posit::simd::force_disable(scalar);
+            const std::string where = spec.to_string() + " mode " +
+                                      std::to_string(static_cast<int>(mode)) + " batch " +
+                                      std::to_string(x->shape()[0]) + " scalar " +
+                                      std::to_string(scalar) + " case in_c " +
+                                      std::to_string(cc.in_c) + " k " + std::to_string(cc.kh) +
+                                      "x" + std::to_string(cc.kw);
+            EXPECT_TRUE(bit_identical(posit_conv2d(*x, w, bias, g, spec, mode), ref)) << where;
+            EXPECT_TRUE(bit_identical(session.run(*x), ref)) << where;
+          }
+          posit::simd::force_disable(false);
+        }
+      }
+    }
+  }
+}
+
 TEST(PositEngine, DegenerateGeometryThrowsInsteadOfUnderflowing) {
   Rng rng(73);
   const Tensor x = Tensor::randn({1, 1, 2, 2}, rng);
@@ -210,6 +327,20 @@ TEST(PositEngine, DegenerateGeometryThrowsInsteadOfUnderflowing) {
                std::invalid_argument);
   const tensor::Conv2dGeom stride0{1, 2, 2, 1, 1, 0, 0};
   EXPECT_THROW(stride0.validate(), std::invalid_argument);
+}
+
+TEST(PositEngine, ConvInputNotMatchingTheGeometryThrows) {
+  // The engine reads batch x C x H x W floats per the geometry: an input of
+  // any other shape must be refused, not read past its end.
+  Rng rng(89);
+  const tensor::Conv2dGeom g{2, 8, 8, 3, 3, 1, 1};
+  const Tensor w = Tensor::randn({3, 2, 3, 3}, rng);
+  const Tensor none;
+  for (const tensor::Shape& shape : {tensor::Shape{1, 2, 4, 4}, tensor::Shape{1, 3, 8, 8},
+                                     tensor::Shape{2, 2, 8, 7}, tensor::Shape{2, 128}}) {
+    EXPECT_THROW(posit_conv2d(Tensor(shape), w, none, g, PositSpec{16, 1}, AccumMode::kQuire),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace
