@@ -46,6 +46,43 @@ void BM_PositMul(benchmark::State& state) {
 }
 BENCHMARK(BM_PositMul)->Args({8, 1})->Args({16, 1})->Args({32, 3});
 
+/// posit(16,1) sub, fma and to_double over random codes: the per-element
+/// arithmetic of the posit session's BN (x - mean, then one fma) and of every
+/// stored output. Sub and fma mostly take the exact 64-bit sum path here.
+void BM_PositSub(benchmark::State& state) {
+  const posit::PositSpec spec{16, 1};
+  const auto codes = random_codes(spec, 1024);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(posit::sub(codes[i & 1023], codes[(i + 1) & 1023], spec));
+    ++i;
+  }
+}
+BENCHMARK(BM_PositSub);
+
+void BM_PositFma(benchmark::State& state) {
+  const posit::PositSpec spec{16, 1};
+  const auto codes = random_codes(spec, 1024);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        posit::fma(codes[i & 1023], codes[(i + 1) & 1023], codes[(i + 2) & 1023], spec));
+    ++i;
+  }
+}
+BENCHMARK(BM_PositFma);
+
+void BM_ToDouble(benchmark::State& state) {
+  const posit::PositSpec spec{16, 1};
+  const auto codes = random_codes(spec, 1024);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(posit::to_double(codes[i & 1023], spec));
+    ++i;
+  }
+}
+BENCHMARK(BM_ToDouble);
+
 void BM_QuireDotProduct(benchmark::State& state) {
   const posit::PositSpec spec{static_cast<int>(state.range(0)), static_cast<int>(state.range(1))};
   const auto codes = random_codes(spec, 1024);

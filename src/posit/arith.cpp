@@ -1,5 +1,7 @@
 #include "posit/arith.hpp"
 
+#include <algorithm>
+
 #include "posit/unpacked.hpp"
 
 namespace pdnn::posit {
@@ -23,17 +25,44 @@ Ordered order_by_magnitude(const Decoded& a, const Decoded& b) {
 /// Core signed addition of two decoded non-zero posits.
 std::uint32_t add_decoded(const Decoded& a, const Decoded& b, const PositSpec& spec, RoundMode mode,
                           RoundingRng* rng) {
+  // Exact path. With both significands' trailing zeros stripped, the aligned
+  // sum runs `span` bits from the lower LSB weight `lsb` up to the larger
+  // operand's hidden bit; at span <= 61 the signed sum fits an int64, so it
+  // is formed exactly and branch-free (the shifts drop only zero bits). The
+  // result goes to round_pack as the same (sig, sig_bits, sticky) triple the
+  // guarded path below produces for these operands — that path is exact
+  // here too, with the larger hidden bit at 65 and round_pack keeping at
+  // most 62 fraction bits — so every rounding mode, stochastic draws
+  // included, sees identical input.
+  const long lsb =
+      std::min(a.scale - 62L + __builtin_ctzll(a.sig), b.scale - 62L + __builtin_ctzll(b.sig));
+  const long span = std::max(a.scale, b.scale) - lsb;
+  if (span <= 61) {
+    const auto va = static_cast<std::int64_t>(a.sig >> (62 - (a.scale - lsb)));
+    const auto vb = static_cast<std::int64_t>(b.sig >> (62 - (b.scale - lsb)));
+    const std::int64_t ma = -static_cast<std::int64_t>(a.neg), mb = -static_cast<std::int64_t>(b.neg);
+    const std::int64_t sum = ((va ^ ma) - ma) + ((vb ^ mb) - mb);
+    if (sum == 0) return 0u;  // exact cancellation
+    const std::uint64_t sum_neg = static_cast<std::uint64_t>(sum >> 63);
+    const std::uint64_t mag = (static_cast<std::uint64_t>(sum) ^ sum_neg) - sum_neg;
+    const int msb = 63 - __builtin_clzll(mag);
+    const int sig_bits = static_cast<int>(std::min(msb + 65 - span, 62L));
+    return round_pack(spec, sum < 0, lsb + msb, mag << (sig_bits - msb), sig_bits, false, mode, rng);
+  }
+
   const Ordered ord = order_by_magnitude(a, b);
   const Decoded& hi = *ord.big;
   const Decoded& lo = *ord.small;
+  const bool same_sign = hi.neg == lo.neg;
+  const long diff = static_cast<long>(hi.scale) - lo.scale;
 
-  // Work with three guard bits: hidden bit moves from 62 to 65. The sticky
-  // flag is folded into bit 0, which is always below the rounding position;
-  // cancellation of 2+ leading bits only happens when the scale difference is
-  // <= 1, in which case no sticky bit was set and the subtraction is exact.
+  // Wide scale gap: work with three guard bits (hidden bit moves from 62 to
+  // 65). The sticky flag is folded into bit 0, which is always below the
+  // rounding position; cancellation of 2+ leading bits only happens when the
+  // scale difference is <= 1, in which case no sticky bit was set and the
+  // subtraction is exact.
   const u128 hi_sig = static_cast<u128>(hi.sig) << 3;
   u128 lo_sig;
-  const long diff = static_cast<long>(hi.scale) - lo.scale;
   if (diff >= 67) {
     lo_sig = 1;  // pure sticky
   } else {
@@ -42,7 +71,6 @@ std::uint32_t add_decoded(const Decoded& a, const Decoded& b, const PositSpec& s
     if (diff > 0 && (full & ((static_cast<u128>(1) << diff) - 1)) != 0) lo_sig |= 1;
   }
 
-  const bool same_sign = hi.neg == lo.neg;
   u128 sum;
   if (same_sign) {
     sum = hi_sig + lo_sig;
@@ -61,13 +89,17 @@ std::uint32_t add_decoded(const Decoded& a, const Decoded& b, const PositSpec& s
 
 }  // namespace
 
-std::uint32_t add(std::uint32_t a, std::uint32_t b, const PositSpec& spec, RoundMode mode, RoundingRng* rng) {
+std::uint32_t add(std::uint32_t a, const Operand& b, const PositSpec& spec, RoundMode mode,
+                  RoundingRng* rng) {
   const Decoded da = decode(a, spec);
-  const Decoded db = decode(b, spec);
-  if (da.is_nar || db.is_nar) return spec.nar_code();
-  if (da.is_zero) return b & spec.mask();
-  if (db.is_zero) return a & spec.mask();
-  return add_decoded(da, db, spec, mode, rng);
+  if (da.is_nar || b.d.is_nar) return spec.nar_code();
+  if (da.is_zero) return b.code;
+  if (b.d.is_zero) return a & spec.mask();
+  return add_decoded(da, b.d, spec, mode, rng);
+}
+
+std::uint32_t add(std::uint32_t a, std::uint32_t b, const PositSpec& spec, RoundMode mode, RoundingRng* rng) {
+  return add(a, Operand(b, spec), spec, mode, rng);
 }
 
 std::uint32_t sub(std::uint32_t a, std::uint32_t b, const PositSpec& spec, RoundMode mode, RoundingRng* rng) {
@@ -109,13 +141,13 @@ std::uint32_t abs(std::uint32_t a, const PositSpec& spec) {
   return (a & spec.sign_bit()) && a != spec.nar_code() ? neg(a, spec) : a;
 }
 
-std::uint32_t fma(std::uint32_t a, std::uint32_t b, std::uint32_t c, const PositSpec& spec, RoundMode mode,
-                  RoundingRng* rng) {
+std::uint32_t fma(std::uint32_t a, const Operand& b, const Operand& c, const PositSpec& spec,
+                  RoundMode mode, RoundingRng* rng) {
   const Decoded da = decode(a, spec);
-  const Decoded db = decode(b, spec);
-  const Decoded dc = decode(c, spec);
+  const Decoded& db = b.d;
+  const Decoded& dc = c.d;
   if (da.is_nar || db.is_nar || dc.is_nar) return spec.nar_code();
-  if (da.is_zero || db.is_zero) return c & spec.mask();
+  if (da.is_zero || db.is_zero) return c.code;
 
   // Exact product. Operand significands carry at most 29 fraction bits each
   // (n <= 32), so the 128-bit product has >= 66 trailing zero bits; reducing
@@ -132,6 +164,11 @@ std::uint32_t fma(std::uint32_t a, std::uint32_t b, std::uint32_t c, const Posit
   dp.scale = static_cast<int>(pscale);
   dp.sig = static_cast<std::uint64_t>(product >> (msb - 62));
   return add_decoded(dp, dc, spec, mode, rng);
+}
+
+std::uint32_t fma(std::uint32_t a, std::uint32_t b, std::uint32_t c, const PositSpec& spec, RoundMode mode,
+                  RoundingRng* rng) {
+  return fma(a, Operand(b, spec), Operand(c, spec), spec, mode, rng);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,66 +17,17 @@ inline long floor_div_pow2(long value, int log2_div) {
 
 }  // namespace
 
-Decoded decode(std::uint32_t code, const PositSpec& spec) {
-  Decoded d;
-  code &= spec.mask();
-  if (code == 0) {
-    d.is_zero = true;
-    return d;
-  }
-  if (code == spec.nar_code()) {
-    d.is_nar = true;
-    return d;
-  }
-  d.neg = (code & spec.sign_bit()) != 0;
-  std::uint32_t mag = d.neg ? ((~code + 1u) & spec.mask()) : code;
-
-  const int body_bits = spec.n - 1;  // bits below the sign bit
-  const std::uint32_t body = mag & (spec.sign_bit() - 1u);
-
-  // Parse the regime: a run of identical bits starting at the MSB of the body,
-  // terminated by the opposite bit (or by the end of the word). Aligned to
-  // the top of the word the run is a leading-zero count (of the inverted
-  // word for a run of ones): the shifted-in low zeros stop an all-ones run
-  // and body >= 1 stops an all-zeros one, so run <= body_bits.
-  const std::uint32_t x = body << (32 - body_bits);
-  const bool first = (x >> 31) != 0;
-  const int run = first ? __builtin_clz(~x) : __builtin_clz(x);
-  d.k = first ? (run - 1) : -run;
-
-  // Exponent field: up to es bits. When fewer remain, the stored bits are the
-  // HIGH bits of the exponent; missing low bits read as zero. No bits remain
-  // (not even a terminator) when the run fills the body.
-  const int remaining_after_regime = run < body_bits ? body_bits - run - 1 : 0;
-  const int e_stored = remaining_after_regime < spec.es ? remaining_after_regime : spec.es;
-  std::uint32_t e_bits = 0;
-  if (e_stored > 0) {
-    e_bits = (body >> (remaining_after_regime - e_stored)) & ((1u << e_stored) - 1u);
-  }
-  d.e = static_cast<int>(e_bits) << (spec.es - e_stored);
-
-  // Fraction field: whatever is left.
-  d.frac_width = remaining_after_regime - e_stored;
-  d.frac = d.frac_width > 0 ? (body & ((1u << d.frac_width) - 1u)) : 0u;
-
-  // k can be negative: scale by multiplication, not <<, which is UB on
-  // negative operands.
-  d.scale = d.k * (1 << spec.es) + d.e;
-  // Significand with hidden bit at 62: (1 << fw | frac) << (62 - fw).
-  d.sig = ((1ULL << d.frac_width) | static_cast<std::uint64_t>(d.frac)) << (62 - d.frac_width);
-  return d;
-}
-
 std::uint32_t round_pack(const PositSpec& spec, bool neg, long scale, unsigned __int128 sig, int sig_bits,
                          bool sticky, RoundMode mode, RoundingRng* rng) {
   const int n = spec.n;
   const int es = spec.es;
   const std::uint32_t body_max = spec.sign_bit() - 1u;  // maxpos body (n-1 ones)
 
+  // The magnitude's code (sign bit zero), two's-complemented when `neg` —
+  // branch-free, since the sign of a rounded value is data, not control.
+  const std::uint32_t neg_mask = 0u - static_cast<std::uint32_t>(neg);
   auto finish = [&](std::uint32_t body) -> std::uint32_t {
-    std::uint32_t code = body;  // sign bit is zero for the magnitude
-    if (neg) code = (~code + 1u) & spec.mask();
-    return code;
+    return ((body ^ neg_mask) - neg_mask) & spec.mask();
   };
 
   // Pre-reduce the significand to at most 62 fraction bits so the assembled
@@ -96,7 +47,10 @@ std::uint32_t round_pack(const PositSpec& spec, bool neg, long scale, unsigned _
   if (k >= spec.max_k()) return finish(body_max);
   if (k < spec.min_k()) return finish(spec.minpos_code());
 
-  const int rb = k >= 0 ? static_cast<int>(k) + 2 : static_cast<int>(1 - k);
+  // Regime length: k + 2 for k >= 0, 1 - k (= ~k + 2) below, selected by
+  // the sign mask of k.
+  const long k_neg = k >> 63;  // all ones when k < 0
+  const int rb = static_cast<int>((k ^ k_neg) + 2);
   const int target = n - 1;
 
   // Fast path (the engine's encode hot loop): when the regime and full
@@ -105,11 +59,15 @@ std::uint32_t round_pack(const PositSpec& spec, bool neg, long scale, unsigned _
   // the low `shift` bits of `sig` (the hidden bit sits above them), making
   // guard/sticky direct masks — bit-identical to the 128-bit composition
   // below, which remains for truncated-exponent codes (rb + es > target).
+  // Its data-dependent choices (regime direction, round-up, sign) are
+  // selects, not branches.
   const int body_frac_bits = target - rb - es;
   if (body_frac_bits >= 0) {
     const auto sig64 = static_cast<std::uint64_t>(sig);  // sig_bits <= 62
-    const std::uint64_t hi =
-        ((k >= 0 ? ((1ULL << (k + 2)) - 2) : 1ULL) << es) | static_cast<std::uint64_t>(e);
+    // Regime run: k+1 ones then a zero ((1 << rb) - 2), or -k zeros then a one.
+    const std::uint64_t regime = (((1ULL << rb) - 2) & ~static_cast<std::uint64_t>(k_neg)) |
+                                 (static_cast<std::uint64_t>(k_neg) & 1u);
+    const std::uint64_t hi = (regime << es) | static_cast<std::uint64_t>(e);
     std::uint32_t body;
     if (sig_bits <= body_frac_bits) {
       const std::uint64_t frac_all = sig64 & ((1ULL << sig_bits) - 1);
@@ -120,11 +78,11 @@ std::uint32_t round_pack(const PositSpec& spec, bool neg, long scale, unsigned _
       const std::uint64_t discarded = sig64 & ((1ULL << shift) - 1);
       body = static_cast<std::uint32_t>((hi << body_frac_bits) | ((sig64 & ((1ULL << sig_bits) - 1)) >> shift));
       const bool guard = ((discarded >> (shift - 1)) & 1) != 0;
-      const bool low_sticky = (discarded & ((1ULL << (shift - 1)) - 1)) != 0 || sticky;
+      const bool low_sticky = ((discarded & ((1ULL << (shift - 1)) - 1)) != 0) | sticky;
       bool round_up = false;
       switch (mode) {
         case RoundMode::kNearestEven:
-          round_up = guard && (low_sticky || (body & 1u));
+          round_up = guard & (low_sticky | ((body & 1u) != 0));
           break;
         case RoundMode::kTowardZero:
           round_up = false;
@@ -138,11 +96,11 @@ std::uint32_t round_pack(const PositSpec& spec, bool neg, long scale, unsigned _
           break;
         }
       }
-      if (round_up) {
-        ++body;
-        if (body > body_max) body = body_max;  // never round into NaR
-      }
-      if (body == 0) body = spec.minpos_code();  // never round a non-zero value to zero
+      // body <= body_max before the increment, so it overflows only into
+      // the sign bit: take that back (never round into NaR).
+      body += round_up ? 1u : 0u;
+      body -= body >> target;
+      body += body == 0 ? 1u : 0u;  // never round a non-zero value to zero (minpos)
     }
     return finish(body);
   }
@@ -229,6 +187,18 @@ double to_double(std::uint32_t code, const PositSpec& spec) {
   const Decoded d = decode(code, spec);
   if (d.is_zero) return 0.0;
   if (d.is_nar) return std::numeric_limits<double>::quiet_NaN();
+  if (d.scale >= -1022 && d.scale <= 1023) {
+    // A normal double holds every posit significand (<= 30 bits) exactly:
+    // assemble its IEEE bits directly (sig's 10 dropped bits are zero).
+    const std::uint64_t bits = (static_cast<std::uint64_t>(d.neg) << 63) |
+                               (static_cast<std::uint64_t>(d.scale + 1023) << 52) |
+                               ((d.sig >> 10) & ((1ULL << 52) - 1));
+    double out;
+    std::memcpy(&out, &bits, sizeof(out));
+    return out;
+  }
+  // Beyond the normal range (wide-es formats only) ldexp overflows to
+  // infinity or rounds to a subnormal.
   const double mag = std::ldexp(static_cast<double>(d.sig), d.scale - 62);
   return d.neg ? -mag : mag;
 }

@@ -29,7 +29,58 @@ struct Decoded {
 };
 
 /// Parse an n-bit code into numeric fields. Handles zero and NaR.
-Decoded decode(std::uint32_t code, const PositSpec& spec);
+///
+/// Inline and branch-free past the zero/NaR checks: every arithmetic
+/// operation decodes its operands, and the sign and regime direction of
+/// data are not predictable control flow.
+inline Decoded decode(std::uint32_t code, const PositSpec& spec) {
+  Decoded d;
+  code &= spec.mask();
+  if (code == 0) {
+    d.is_zero = true;
+    return d;
+  }
+  if (code == spec.nar_code()) {
+    d.is_nar = true;
+    return d;
+  }
+  d.neg = (code & spec.sign_bit()) != 0;
+  const std::uint32_t neg_mask = 0u - static_cast<std::uint32_t>(d.neg);
+  const std::uint32_t mag = ((code ^ neg_mask) - neg_mask) & spec.mask();
+
+  const int body_bits = spec.n - 1;  // bits below the sign bit
+  const std::uint32_t body = mag & (spec.sign_bit() - 1u);
+
+  // Parse the regime: a run of identical bits starting at the MSB of the body,
+  // terminated by the opposite bit (or by the end of the word). Aligned to
+  // the top of the word the run is a leading-zero count (of the inverted
+  // word for a run of ones): the shifted-in low zeros stop an all-ones run
+  // and body >= 1 stops an all-zeros one, so run <= body_bits.
+  const std::uint32_t x = body << (32 - body_bits);
+  const std::uint32_t first_mask = 0u - (x >> 31);  // all ones for a run of ones
+  const int run = __builtin_clz(x ^ first_mask);
+  d.k = (run - 1) ^ static_cast<int>(~first_mask);  // run - 1 for ones, -run for zeros
+
+  // Exponent field: up to es bits. When fewer remain, the stored bits are the
+  // HIGH bits of the exponent; missing low bits read as zero. No bits remain
+  // (not even a terminator) when the run fills the body.
+  const int after_regime = body_bits - run - 1;
+  const int remaining = after_regime > 0 ? after_regime : 0;
+  const int e_stored = remaining < spec.es ? remaining : spec.es;
+  const std::uint32_t e_bits = (body >> (remaining - e_stored)) & ((1u << e_stored) - 1u);
+  d.e = static_cast<int>(e_bits) << (spec.es - e_stored);
+
+  // Fraction field: whatever is left.
+  d.frac_width = remaining - e_stored;
+  d.frac = body & ((1u << d.frac_width) - 1u);
+
+  // k can be negative: scale by multiplication, not <<, which is UB on
+  // negative operands.
+  d.scale = d.k * (1 << spec.es) + d.e;
+  // Significand with hidden bit at 62: (1 << fw | frac) << (62 - fw).
+  d.sig = ((1ULL << d.frac_width) | static_cast<std::uint64_t>(d.frac)) << (62 - d.frac_width);
+  return d;
+}
 
 /// Round and pack a (sign, scale, significand) triple into an n-bit code.
 ///

@@ -16,6 +16,9 @@ using u128 = unsigned __int128;
 /// touches, so this keeps every signed limb sum of merge_banks, carry
 /// included, below 2^63.
 constexpr std::size_t kMergeTerms = std::size_t{1} << 29;
+/// The same bound for the narrow deposit: a term adds under 2^43 (a <= 28-bit
+/// product shifted by <= 15) to one limb.
+constexpr std::size_t kNarrowMergeTerms = std::size_t{1} << 18;
 
 /// Magnitude view of a two's-complement register, read word by word without
 /// copying it. For a negative register X, -X is zero below X's lowest
@@ -42,12 +45,13 @@ class Magnitude {
   bool negative_ = false;
 };
 
-/// Round a non-NaR register (bit 0 weighs 2^-frac_bits) to a posit code.
-std::uint32_t round_register(const std::vector<std::uint64_t>& words, long frac_bits,
+/// Round a non-NaR register of `count` words (bit 0 weighs 2^-frac_bits)
+/// to a posit code.
+std::uint32_t round_register(const std::uint64_t* words, std::size_t count, long frac_bits,
                              const PositSpec& spec, RoundMode mode, RoundingRng* rng) {
-  const Magnitude mag(words.data(), words.size());
-  if (mag.low() == words.size()) return 0u;
-  std::size_t top = words.size() - 1;
+  const Magnitude mag(words, count);
+  if (mag.low() == count) return 0u;
+  std::size_t top = count - 1;
   while (mag[top] == 0) --top;  // stops at low() at the latest
   const long msb_pos = static_cast<long>(top) * 64 + 63 - __builtin_clzll(mag[top]);
 
@@ -69,6 +73,25 @@ std::uint32_t round_register(const std::vector<std::uint64_t>& words, long frac_
   return round_pack(spec, mag.negative(), msb_pos - frac_bits, sig, 63, sticky, mode, rng);
 }
 
+/// round_register() for a two-word register slice, read as one signed
+/// 128-bit integer: the same (sig, sticky) extraction, branch-free and
+/// without the word scans — the narrow dot products' common case.
+std::uint32_t round_two_words(const std::uint64_t* words, long frac_bits, const PositSpec& spec,
+                              RoundMode mode, RoundingRng* rng) {
+  const u128 value = (static_cast<u128>(words[1]) << 64) | words[0];
+  if (value == 0) return 0u;
+  const bool negative = (words[1] >> 63) != 0;
+  const u128 mag = negative ? 0 - value : value;
+  const auto mag_hi = static_cast<std::uint64_t>(mag >> 64);
+  const int lz = mag_hi != 0 ? __builtin_clzll(mag_hi)
+                             : 64 + __builtin_clzll(static_cast<std::uint64_t>(mag));
+  // MSB to bit 127: the top word is the 64-bit significand (hidden bit at
+  // 63), the bottom word everything below it.
+  const u128 norm = mag << lz;
+  return round_pack(spec, negative, 127 - lz - frac_bits, static_cast<std::uint64_t>(norm >> 64), 63,
+                    static_cast<std::uint64_t>(norm) != 0, mode, rng);
+}
+
 }  // namespace
 
 Quire::Quire(const PositSpec& spec, int guard_bits) : spec_(spec) {
@@ -82,12 +105,14 @@ Quire::Quire(const PositSpec& spec, int guard_bits) : spec_(spec) {
   const long int_bits = 2L * spec_.max_scale() + guard_bits + 2;
   const long total = frac_bits_ + int_bits + 1;  // +1 sign
   words_.assign(static_cast<std::size_t>((total + 63) / 64), 0u);
-  // Dot-product scratch: one 64-bit limb per 32 register bits plus two
-  // spill limbs and two slack limbs per bank, four banks — the SIMD deposit
-  // splits each sign stream (positive, negative) across two banks (even/odd
-  // terms) to shorten the same-limb add chains; the scalar path uses only
-  // the first bank of each stream. The merge sums all four exactly, so the
-  // split cannot change a bit.
+  // Dot-product scratch, four banks. Wide formats: one 64-bit limb per 32
+  // register bits plus two spill limbs and two slack limbs per bank — the
+  // SIMD deposit splits each sign stream (positive, negative) across two
+  // banks (even/odd terms) to shorten the same-limb add chains; the scalar
+  // path uses only the first bank of each stream. Narrow formats: one signed
+  // limb per 16 register bits, term i in bank i % 4. The merge sums all four
+  // exactly, so the split cannot change a bit.
+  narrow_ = spec_.n <= 16;
   limbs_.assign(bank_stride() * 4, 0u);
 }
 
@@ -201,6 +226,7 @@ void Quire::add_product(const Unpacked& a, const Unpacked& b) {
 }
 
 bool Quire::deposit(const Unpacked* a, const Unpacked* b, std::size_t count) {
+  if (narrow_) return deposit_narrow(a, b, count);
   // Bank layout: [pos0 | neg0 | pos1 | neg1]. The scalar loop (and the SIMD
   // group's even terms) deposit into bank 0 of each sign stream; the SIMD
   // group's odd terms go two banks further.
@@ -235,7 +261,104 @@ bool Quire::deposit(const Unpacked* a, const Unpacked* b, std::size_t count) {
   return (flags & Unpacked::kNarFlag) != 0;
 }
 
+bool Quire::deposit_narrow(const Unpacked* a, const Unpacked* b, std::size_t count) {
+  // One signed add per term: the product (<= 28 bits at n <= 16) shifted to
+  // its bit offset inside a 16-bit limb fits one 64-bit limb whole, so no
+  // chunk split and no sign streams. Limb sums wrap as uint64; the merge
+  // reads them as int64, exact while each round's terms stay within
+  // kNarrowMergeTerms.
+  const std::size_t stride = bank_stride();
+  std::uint64_t* const limbs = limbs_.data();
+  const long base = frac_bits_;
+  std::uint32_t flags = 0;
+  std::uint32_t lo = UINT32_MAX, hi = 0;  // touched limb range
+  std::size_t i = 0;
+  if (count >= 8 && simd::enabled()) {
+    i = simd::accumulate_narrow_avx2(a, b, count, base, limbs, stride, &flags, &lo, &hi);
+  }
+  for (; i < count; ++i) {
+    const Unpacked ua = a[i];
+    const Unpacked ub = b[i];
+    flags |= ua.flags | ub.flags;  // zero/NaR: sig 0 at lsb_weight 0 deposits nothing
+    const std::uint64_t product = static_cast<std::uint64_t>(ua.sig) * ub.sig;
+    const auto pos = static_cast<std::uint32_t>(base + ua.lsb_weight + ub.lsb_weight);
+    const std::uint32_t idx = pos >> 4;
+    lo = std::min(lo, idx);
+    hi = std::max(hi, idx);
+    const std::uint64_t term = product << (pos & 15);
+    const std::uint64_t negate = 0u - static_cast<std::uint64_t>(ua.neg ^ ub.neg);
+    limbs[(i & 3) * stride + idx] += (term ^ negate) - negate;
+  }
+  touched_lo_ = lo;
+  touched_hi_ = hi;
+  return (flags & Unpacked::kNarFlag) != 0;
+}
+
+void Quire::merge_narrow(bool accumulate) {
+  const std::size_t nwords = words_.size();
+  if (touched_lo_ > touched_hi_) {  // empty deposit: the value is zero
+    if (!accumulate) std::fill(words_.begin(), words_.end(), 0u);
+    value_first_ = 0;
+    value_last_ = nwords;
+    return;
+  }
+  const std::size_t stride = bank_stride();
+  std::uint64_t* const b0 = limbs_.data();
+  std::uint64_t* const b1 = b0 + stride;
+  std::uint64_t* const b2 = b0 + 2 * stride;
+  std::uint64_t* const b3 = b0 + 3 * stride;
+  // Four 16-bit limbs per register word; a limb's signed value times
+  // 2^(16 j) is its share of the sum. Only limbs in [touched_lo_,
+  // touched_hi_] are non-zero, and the signed carry out of the last one is
+  // under 2^46 in magnitude, so three limbs further it has settled to 0 or
+  // -1: every word from `last` up is sign fill, every word below `first`
+  // zero. Carries past the top limb are multiples of 2^width and drop, as
+  // in merge_banks.
+  const std::size_t first = touched_lo_ / 4;
+  std::size_t last = std::min(nwords, (static_cast<std::size_t>(touched_hi_) + 3) / 4 + 1);
+  // A value inside one word is widened to two when the register has room,
+  // so the common dot product takes one fixed-length path through this
+  // merge and its rounding (round_two_words).
+  if (last - first < 2 && first + 2 <= nwords) last = first + 2;
+  std::int64_t carry = 0;
+  unsigned add_carry = 0;
+  for (std::size_t w = first; w < last; ++w) {
+    std::uint64_t v = 0;
+    for (std::size_t q = 0; q < 4; ++q) {
+      const std::size_t j = 4 * w + q;
+      const auto t = static_cast<std::int64_t>(b0[j] + b1[j] + b2[j] + b3[j]) + carry;
+      b0[j] = b1[j] = b2[j] = b3[j] = 0;  // re-zero as we go (a superset of the touched limbs)
+      v |= static_cast<std::uint64_t>(static_cast<std::uint16_t>(t)) << (16 * q);
+      carry = t >> 16;  // arithmetic: floor division keeps the low limb in [0, 2^16)
+    }
+    if (accumulate) {
+      const u128 s = static_cast<u128>(words_[w]) + v + add_carry;
+      words_[w] = static_cast<std::uint64_t>(s);
+      add_carry = static_cast<unsigned>(s >> 64);
+    } else {
+      words_[w] = v;
+    }
+  }
+  const auto fill = static_cast<std::uint64_t>(carry);  // 0 or all ones when last < nwords
+  if (accumulate) {
+    for (std::size_t w = last; w < nwords; ++w) {
+      const u128 s = static_cast<u128>(words_[w]) + fill + add_carry;
+      words_[w] = static_cast<std::uint64_t>(s);
+      add_carry = static_cast<unsigned>(s >> 64);
+    }
+  } else {
+    std::fill(words_.begin(), words_.begin() + static_cast<std::ptrdiff_t>(first), 0u);
+    std::fill(words_.begin() + static_cast<std::ptrdiff_t>(last), words_.end(), fill);
+  }
+  value_first_ = first;
+  value_last_ = last;
+}
+
 void Quire::merge_banks(bool accumulate) {
+  if (narrow_) {
+    merge_narrow(accumulate);
+    return;
+  }
   const std::size_t stride = bank_stride();
   std::uint64_t* const pos0 = limbs_.data();
   std::uint64_t* const neg0 = pos0 + stride;
@@ -269,9 +392,10 @@ void Quire::merge_banks(bool accumulate) {
 }
 
 void Quire::accumulate_dot(const Unpacked* a, const Unpacked* b, std::size_t count) {
+  const std::size_t round = narrow_ ? kNarrowMergeTerms : kMergeTerms;
   std::size_t i = 0;
   do {
-    const std::size_t n = std::min(count - i, kMergeTerms);
+    const std::size_t n = std::min(count - i, round);
     if (deposit(a + i, b + i, n)) nar_ = true;
     merge_banks(/*accumulate=*/true);
     i += n;
@@ -280,12 +404,22 @@ void Quire::accumulate_dot(const Unpacked* a, const Unpacked* b, std::size_t cou
 
 std::uint32_t Quire::dot_round(const Unpacked* a, const Unpacked* b, std::size_t count,
                                RoundMode mode, RoundingRng* rng) {
-  const std::size_t n = std::min(count, kMergeTerms);
+  const std::size_t n = std::min(count, narrow_ ? kNarrowMergeTerms : kMergeTerms);
   nar_ = deposit(a, b, n);
   merge_banks(/*accumulate=*/false);
   if (count > n) accumulate_dot(a + n, b + n, count - n);
   if (nar_) return spec_.nar_code();
-  return round_register(words_, frac_bits_, spec_, mode, rng);
+  if (narrow_ && count == n) {
+    // One narrow merge: the value sits in words [value_first_, value_last_)
+    // with zeros below and sign fill above, so that two's-complement slice,
+    // its bit 0 reweighted, rounds to the same code as the whole register.
+    const std::uint64_t* slice = words_.data() + value_first_;
+    const std::size_t words = value_last_ - value_first_;
+    const long frac_bits = frac_bits_ - 64 * static_cast<long>(value_first_);
+    return words == 2 ? round_two_words(slice, frac_bits, spec_, mode, rng)
+                      : round_register(slice, words, frac_bits, spec_, mode, rng);
+  }
+  return round_register(words_.data(), words_.size(), frac_bits_, spec_, mode, rng);
 }
 
 void Quire::sub_product(std::uint32_t a, std::uint32_t b) { add_product(a, neg(b, spec_)); }
@@ -302,7 +436,7 @@ void Quire::add_posit(std::uint32_t a) {
 
 std::uint32_t Quire::to_posit(RoundMode mode, RoundingRng* rng) const {
   if (nar_) return spec_.nar_code();
-  return round_register(words_, frac_bits_, spec_, mode, rng);
+  return round_register(words_.data(), words_.size(), frac_bits_, spec_, mode, rng);
 }
 
 double Quire::to_double() const {

@@ -74,21 +74,34 @@ class Quire {
   /// Fast two-word deposit for significands that fit 64 bits (the unpacked
   /// hot path); same exact addition as add_shifted.
   void add_shifted64(std::uint64_t sig, long lsb_weight, bool negative);
-  /// Limbs per carry-save bank: one per 32 register bits, two spill limbs
-  /// for the top deposit's upper chunks, two slack.
-  std::size_t bank_stride() const { return words_.size() * 2 + 4; }
+  /// Limbs per carry-save bank. Wide formats: one per 32 register bits, two
+  /// spill limbs for the top deposit's upper chunks, two slack. Narrow
+  /// formats: one per 16 register bits (a limb holds a whole term).
+  std::size_t bank_stride() const { return narrow_ ? words_.size() * 4 : words_.size() * 2 + 4; }
   /// Deposits sum_i a[i]*b[i] into the (zeroed) carry-save banks; returns
   /// whether any operand was NaR.
   bool deposit(const Unpacked* a, const Unpacked* b, std::size_t count);
+  /// deposit() for narrow formats: one signed limb add per term.
+  bool deposit_narrow(const Unpacked* a, const Unpacked* b, std::size_t count);
   /// One signed carry pass over the four banks: their value mod 2^width is
   /// added to the register (`accumulate`) or replaces it. Leaves the banks
   /// zeroed for the next deposit.
   void merge_banks(bool accumulate);
+  /// merge_banks() over the narrow 16-bit limb layout.
+  void merge_narrow(bool accumulate);
 
   PositSpec spec_;
   long frac_bits_;                   ///< weight of bit 0 is 2^(-frac_bits_)
   std::vector<std::uint64_t> words_; ///< little-endian two's-complement
-  std::vector<std::uint64_t> limbs_; ///< carry-save banks [pos0|neg0|pos1|neg1], zero between calls
+  std::vector<std::uint64_t> limbs_; ///< four carry-save banks, zero between calls
+  /// n <= 16: every reduced-significand product fits 28 bits, so one limb
+  /// add deposits a whole term (deposit_narrow).
+  bool narrow_ = false;
+  /// Narrow deposit scratch: the limb index range the last deposit touched
+  /// (lo > hi when empty), and the register words [first, last) the last
+  /// merge wrote the value into (zeros below, sign fill above).
+  std::uint32_t touched_lo_ = 1, touched_hi_ = 0;
+  std::size_t value_first_ = 0, value_last_ = 0;
   bool nar_ = false;
 };
 

@@ -230,6 +230,81 @@ __attribute__((target("avx2"))) std::size_t accumulate_limbs_avx2(
   return head;
 }
 
+__attribute__((target("avx2"))) std::size_t accumulate_narrow_avx2(
+    const Unpacked* a, const Unpacked* b, std::size_t count, long base, std::uint64_t* limbs,
+    std::size_t bank_stride, std::uint32_t* flags_or, std::uint32_t* idx_lo, std::uint32_t* idx_hi) {
+  const std::size_t head = count & ~static_cast<std::size_t>(7);
+  const __m256i deint = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+  const __m256i basev = _mm256_set1_epi32(static_cast<int>(base));
+  const __m256i low4 = _mm256_set1_epi64x(0xF);
+  const __m256i one64 = _mm256_set1_epi64x(1);
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i meta_or = zero;
+  __m256i idx_min = _mm256_set1_epi32(-1);
+  __m256i idx_max = zero;
+
+  for (std::size_t i = 0; i < head; i += 8) {
+    // Same (sig, hi) deinterleave as accumulate_limbs_avx2.
+    const __m256i ta0 = _mm256_permutevar8x32_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)), deint);
+    const __m256i ta1 = _mm256_permutevar8x32_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i + 4)), deint);
+    const __m256i tb0 = _mm256_permutevar8x32_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)), deint);
+    const __m256i tb1 = _mm256_permutevar8x32_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i + 4)), deint);
+    const __m256i sig_a = _mm256_permute2x128_si256(ta0, ta1, 0x20);
+    const __m256i hi_a = _mm256_permute2x128_si256(ta0, ta1, 0x31);
+    const __m256i sig_b = _mm256_permute2x128_si256(tb0, tb1, 0x20);
+    const __m256i hi_b = _mm256_permute2x128_si256(tb0, tb1, 0x31);
+    meta_or = _mm256_or_si256(meta_or, _mm256_or_si256(hi_a, hi_b));
+
+    const __m256i lsb_a = _mm256_srai_epi32(_mm256_slli_epi32(hi_a, 16), 16);
+    const __m256i lsb_b = _mm256_srai_epi32(_mm256_slli_epi32(hi_b, 16), 16);
+    const __m256i pos = _mm256_add_epi32(_mm256_add_epi32(lsb_a, lsb_b), basev);
+    const __m256i sgn = _mm256_srli_epi32(_mm256_xor_si256(hi_a, hi_b), 16);
+    const __m256i idx = _mm256_srli_epi32(pos, 4);
+    idx_min = _mm256_min_epu32(idx_min, idx);
+    idx_max = _mm256_max_epu32(idx_max, idx);
+    alignas(32) std::uint32_t idxs[8];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(idxs), idx);
+
+    // Even int32 lanes (terms 0,2,4,6) multiply in place, odd lanes after a
+    // 32-bit shift down; each product shifts to its offset in the 16-bit
+    // limb and takes its sign as a two's-complement negation.
+    const __m256i pe = _mm256_mul_epu32(sig_a, sig_b);
+    const __m256i po = _mm256_mul_epu32(_mm256_srli_epi64(sig_a, 32), _mm256_srli_epi64(sig_b, 32));
+    const __m256i te = _mm256_sllv_epi64(pe, _mm256_and_si256(pos, low4));
+    const __m256i to = _mm256_sllv_epi64(po, _mm256_and_si256(_mm256_srli_epi64(pos, 32), low4));
+    const __m256i me = _mm256_sub_epi64(zero, _mm256_and_si256(sgn, one64));
+    const __m256i mo = _mm256_sub_epi64(zero, _mm256_and_si256(_mm256_srli_epi64(sgn, 32), one64));
+    alignas(32) std::uint64_t terms[8];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(terms),
+                       _mm256_sub_epi64(_mm256_xor_si256(te, me), me));
+    _mm256_store_si256(reinterpret_cast<__m256i*>(terms + 4),
+                       _mm256_sub_epi64(_mm256_xor_si256(to, mo), mo));
+    for (int t = 0; t < 8; ++t) {
+      const int s = ((t & 1) << 2) | (t >> 1);  // term t's slot in the spill
+      limbs[static_cast<std::size_t>(t & 3) * bank_stride + idxs[t]] += terms[s];
+    }
+  }
+
+  alignas(32) std::uint32_t meta[8], mins[8], maxs[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(meta), meta_or);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(mins), idx_min);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(maxs), idx_max);
+  std::uint32_t flags = 0, lo = *idx_lo, hi = *idx_hi;
+  for (int l = 0; l < 8; ++l) {
+    flags |= meta[l] >> 24;
+    lo = mins[l] < lo ? mins[l] : lo;
+    hi = maxs[l] > hi ? maxs[l] : hi;
+  }
+  *flags_or |= flags;
+  *idx_lo = lo;
+  *idx_hi = hi;
+  return head;
+}
+
 #else  // !PDNN_POSIT_X86 — never dispatched to (available() is false).
 
 void decode_unpacked8_avx2(const std::uint32_t* codes, const PositSpec& spec, Unpacked* out) {
@@ -238,6 +313,12 @@ void decode_unpacked8_avx2(const std::uint32_t* codes, const PositSpec& spec, Un
 
 std::size_t accumulate_limbs_avx2(const Unpacked*, const Unpacked*, std::size_t, long,
                                   std::uint64_t*, std::uint64_t*, std::size_t, std::uint32_t*) {
+  return 0;
+}
+
+std::size_t accumulate_narrow_avx2(const Unpacked*, const Unpacked*, std::size_t, long,
+                                   std::uint64_t*, std::size_t, std::uint32_t*, std::uint32_t*,
+                                   std::uint32_t*) {
   return 0;
 }
 

@@ -1,6 +1,6 @@
 // simd.hpp — runtime-dispatched AVX2 kernels for the posit engine hot path.
 //
-// Two kernels live behind the dispatcher, both bit-identical to their scalar
+// Three kernels live behind the dispatcher, all bit-identical to their scalar
 // references by construction (and pinned by the exhaustive oracle tests in
 // tests/posit/pack_codec_test.cpp):
 //
@@ -25,6 +25,10 @@
 //     chains short instead. The merged register state matches the scalar
 //     loop exactly (every deposit is an exact add mod 2^width, so neither
 //     grouping nor bank splitting can change a bit).
+//   * accumulate_narrow_avx2 — the same deposit for n <= 16 formats, whose
+//     products fit 28 bits: each term, shifted to its offset inside a 16-bit
+//     limb and negated when its sign is negative, is one 64-bit limb add
+//     (four banks by term index), so no chunk split and no sign streams.
 //
 // Dispatch mirrors tensor/gemm_kernel.cpp: __builtin_cpu_supports("avx2")
 // resolved once, with two overrides — the PDNN_NO_AVX2=1 environment
@@ -69,5 +73,16 @@ void decode_unpacked8_avx2(const std::uint32_t* codes, const PositSpec& spec, Un
 std::size_t accumulate_limbs_avx2(const Unpacked* a, const Unpacked* b, std::size_t count,
                                   long base, std::uint64_t* pos_limbs, std::uint64_t* neg_limbs,
                                   std::size_t bank1_offset, std::uint32_t* flags_or);
+
+/// The narrow-format (n <= 16) deposit: the first (count & ~7) products,
+/// each shifted to its offset inside a 16-bit limb and signed, added whole
+/// to one 64-bit limb — term t of each group into bank t % 4 (banks
+/// `bank_stride` limbs apart), exactly as Quire's scalar narrow loop.
+/// Same return and flag contract as accumulate_limbs_avx2; also narrows
+/// [*idx_lo, *idx_hi] to cover every limb index it touched.
+std::size_t accumulate_narrow_avx2(const Unpacked* a, const Unpacked* b, std::size_t count,
+                                   long base, std::uint64_t* limbs, std::size_t bank_stride,
+                                   std::uint32_t* flags_or, std::uint32_t* idx_lo,
+                                   std::uint32_t* idx_hi);
 
 }  // namespace pdnn::posit::simd

@@ -62,23 +62,25 @@ struct EngineWeights {
 };
 
 /// Grow-only activation scratch of the conv/linear entry points: a conv
-/// input image's codes, the transposed patch panel gathered from them (a
-/// linear step's codes instead), and the panel's decoded lanes. A conv holds
-/// one image at a time, never the batch. Run scratch, not model footprint.
+/// input image's codes and decoded lanes, and the transposed patch panel
+/// gathered from the lanes (from the codes for the LUT chains); a linear
+/// step's codes and lanes. A conv holds one image at a time, never the
+/// batch. Run scratch, not model footprint.
 struct ActScratch {
   std::vector<std::uint32_t> input;
+  std::vector<posit::Unpacked> input_ops;
   std::vector<std::uint32_t> codes;
   std::vector<posit::Unpacked> ops;
 
   std::size_t bytes() const {
     return (input.capacity() + codes.capacity()) * sizeof(std::uint32_t) +
-           ops.capacity() * sizeof(posit::Unpacked);
+           (input_ops.capacity() + ops.capacity()) * sizeof(posit::Unpacked);
   }
 };
 
-/// The GEMM at the heart of the engine. Activation row r is
-/// a_codes[r*k, r*k+k) with its decoded lanes at a_ops[r*k] (a_ops may be
-/// null when reads_lanes() is false); the rounded dot of every (row, weight
+/// The GEMM at the heart of the engine. Activation row r is the k lanes at
+/// a_ops[r*k] when reads_lanes() is true, else the k codes at a_codes[r*k]
+/// (only that one of the two is read); the rounded dot of every (row, weight
 /// row) pair — plus the optional bias — lands at
 /// out[r * row_stride + o * col_stride]. Each packed weight row is decoded
 /// once per call into its thread's O(k) scratch and streamed against every
@@ -98,8 +100,9 @@ void engine_linear(const float* x, std::size_t n, const EngineWeights& wt, ActSc
                    float* y);
 
 /// Posit convolution of x [batch, C, H, W] into y [batch, O, H', W'], one
-/// image at a time: encode the image once (one from_double per element),
-/// gather its transposed patch panel (code 0 for padding), decode it, GEMM.
+/// image at a time: encode and decode the image once (one from_double and
+/// one decode per element), gather its transposed patch panel of lanes (the
+/// zero lane for padding; codes instead when reads_lanes() is false), GEMM.
 void engine_conv2d(const float* x, std::size_t batch, const tensor::Conv2dGeom& geom,
                    const EngineWeights& wt, ActScratch& scratch, float* y);
 

@@ -35,11 +35,13 @@ void encode_codes(const float* src, std::size_t count, const PositSpec& spec,
   }
 }
 
-/// Gather one encoded image [C, H, W] into its transposed patch panel
-/// [pixels, patch]: each output pixel's patch contiguous in the weight
-/// layout's (c, ky, kx) order, as im2col orders its rows. Taps outside the
-/// image read code 0 — the encoding of im2col's zero padding.
-void gather_patches(const std::uint32_t* img, const tensor::Conv2dGeom& g, std::uint32_t* panel) {
+/// Gather one image [C, H, W] of codes or decoded lanes into its transposed
+/// patch panel [pixels, patch]: each output pixel's patch contiguous in the
+/// weight layout's (c, ky, kx) order, as im2col orders its rows. Taps outside
+/// the image read T{} — code 0 or the zero lane, the encoding of im2col's
+/// zero padding.
+template <typename T>
+void gather_patches(const T* img, const tensor::Conv2dGeom& g, T* panel) {
   const long oh = static_cast<long>(g.out_h()), ow = static_cast<long>(g.out_w());
   const long in_h = static_cast<long>(g.in_h), in_w = static_cast<long>(g.in_w);
   const long kh = static_cast<long>(g.kh()), kw = static_cast<long>(g.kw());
@@ -48,16 +50,16 @@ void gather_patches(const std::uint32_t* img, const tensor::Conv2dGeom& g, std::
   const std::size_t patch = g.patch();
 #pragma omp parallel for schedule(static) if (oh > 1 && g.out_h() * g.out_w() * patch > 16384)
   for (long y = 0; y < oh; ++y) {
-    std::uint32_t* dst = panel + static_cast<std::size_t>(y * ow) * patch;
+    T* dst = panel + static_cast<std::size_t>(y * ow) * patch;
     for (long x = 0; x < ow; ++x) {
       for (long c = 0; c < channels; ++c) {
-        const std::uint32_t* plane = img + c * in_h * in_w;
+        const T* plane = img + c * in_h * in_w;
         for (long ky = 0; ky < kh; ++ky) {
           const long iy = y * stride - pad + ky;
           const bool row_in = iy >= 0 && iy < in_h;
           for (long kx = 0; kx < kw; ++kx) {
             const long ix = x * stride - pad + kx;
-            *dst++ = row_in && ix >= 0 && ix < in_w ? plane[iy * in_w + ix] : 0u;
+            *dst++ = row_in && ix >= 0 && ix < in_w ? plane[iy * in_w + ix] : T{};
           }
         }
       }
@@ -114,8 +116,8 @@ void engine_gemm(const std::uint32_t* a_codes, const Unpacked* a_ops, const Engi
     for (std::size_t o = 0; o < cols; ++o) {
       posit::unpack_codes(wt.w.packed.data(), o * k, k, spec, scratch.codes.data());
       if (lanes) posit::decode_unpacked(wcodes, k, spec, scratch.ops.data());
-      const std::uint32_t bcode =
-          !bias.empty() ? posit::unpack_one(bias.packed.data(), o, bias.spec) : 0u;
+      const posit::Operand bop(
+          !bias.empty() ? posit::unpack_one(bias.packed.data(), o, bias.spec) : 0u, spec);
       for (std::size_t r = 0; r < rows; ++r) {
         std::uint32_t acc = 0;
         if (lanes) {
@@ -146,7 +148,7 @@ void engine_gemm(const std::uint32_t* a_codes, const Unpacked* a_ops, const Engi
           }
         }
         if (!bias.empty()) {
-          acc = luts.add != nullptr ? luts.add->at(acc, bcode) : posit::add(acc, bcode, spec);
+          acc = luts.add != nullptr ? luts.add->at(acc, bop.code) : posit::add(acc, bop, spec);
         }
         out[r * row_stride + o * col_stride] = static_cast<float>(posit::to_double(acc, spec));
       }
@@ -175,13 +177,21 @@ void engine_conv2d(const float* x, std::size_t batch, const tensor::Conv2dGeom& 
   const std::size_t patch = geom.patch();
   const bool lanes = reads_lanes(wt.mode, wt.luts);
   scratch.input.resize(image);
-  scratch.codes.resize(pixels * patch);
-  if (lanes) scratch.ops.resize(pixels * patch);
+  if (lanes) {
+    scratch.input_ops.resize(image);
+    scratch.ops.resize(pixels * patch);
+  } else {
+    scratch.codes.resize(pixels * patch);
+  }
   for (std::size_t nidx = 0; nidx < batch; ++nidx) {
     encode_codes(x + nidx * image, image, wt.w.spec, scratch.input.data());
-    gather_patches(scratch.input.data(), geom, scratch.codes.data());
+    // Each activation sits in about kh*kw patches: decode the image once and
+    // gather lanes, or gather codes for the LUT chains that index them.
     if (lanes) {
-      posit::decode_unpacked(scratch.codes.data(), pixels * patch, wt.w.spec, scratch.ops.data());
+      posit::decode_unpacked(scratch.input.data(), image, wt.w.spec, scratch.input_ops.data());
+      gather_patches(scratch.input_ops.data(), geom, scratch.ops.data());
+    } else {
+      gather_patches(scratch.input.data(), geom, scratch.codes.data());
     }
     // Output plane for this image is [out_c, pixels]: column stride `pixels`.
     engine_gemm(scratch.codes.data(), lanes ? scratch.ops.data() : nullptr, wt, pixels, patch,

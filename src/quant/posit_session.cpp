@@ -324,17 +324,19 @@ void PositSession::Impl::exec_bn(const exec::Step& step, StepState& s, const Ten
   // out may alias in (in-place step): reads and writes share the index.
 #pragma omp parallel for schedule(static) if (c > 1 && n * plane > 4096)
   for (std::size_t ci = 0; ci < c; ++ci) {
-    const std::uint32_t scale = s.bn_scale[ci];
-    const std::uint32_t mean = s.bn_mean[ci];
-    const std::uint32_t shift = s.bn_shift[ci];
+    // The constants are decoded once per channel, not once per element;
+    // x - mean is x + (-mean), which is how posit::sub computes it.
+    const posit::Operand neg_mean(posit::neg(s.bn_mean[ci], s.spec), s.spec);
+    const posit::Operand scale(s.bn_scale[ci], s.spec);
+    const posit::Operand shift(s.bn_shift[ci], s.spec);
     for (std::size_t ni = 0; ni < n; ++ni) {
       const float* src = in.data() + (ni * c + ci) * plane;
       float* dst = out.data() + (ni * c + ci) * plane;
       for (std::size_t p = 0; p < plane; ++p) {
         const std::uint32_t xv = posit::from_double(src[p], s.spec, kEncodeRound);
-        const std::uint32_t centered = posit::sub(xv, mean, s.spec);
+        const std::uint32_t centered = posit::add(xv, neg_mean, s.spec);
         const std::uint32_t scaled = s.luts.fma != nullptr
-                                         ? s.luts.fma->at(centered, scale, shift)
+                                         ? s.luts.fma->at(centered, scale.code, shift.code)
                                          : posit::fma(centered, scale, shift, s.spec);
         dst[p] = static_cast<float>(posit::to_double(scaled, s.spec));
       }

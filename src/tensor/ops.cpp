@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "tensor/gemm_kernel.hpp"
 
@@ -388,8 +389,28 @@ Tensor softmax(const Tensor& logits) {
   return out;
 }
 
+namespace {
+
+/// One label per logits row, each a class index in [0, classes).
+void check_labels(const char* where, std::size_t n, std::size_t classes,
+                  const std::vector<int>& labels) {
+  if (labels.size() != n) {
+    throw std::invalid_argument(std::string(where) + ": " + std::to_string(labels.size()) +
+                                " labels for " + std::to_string(n) + " rows");
+  }
+  for (const int label : labels) {
+    if (label < 0 || static_cast<std::size_t>(label) >= classes) {
+      throw std::invalid_argument(std::string(where) + ": label " + std::to_string(label) +
+                                  " outside [0, " + std::to_string(classes) + ")");
+    }
+  }
+}
+
+}  // namespace
+
 float cross_entropy(const Tensor& logits, const std::vector<int>& labels, Tensor* grad_logits) {
   const std::size_t n = logits.shape()[0], k = logits.shape()[1];
+  check_labels("tensor::cross_entropy", n, k, labels);
   const Tensor probs = softmax(logits);
   float loss = 0.0f;
   for (std::size_t i = 0; i < n; ++i) {
@@ -411,6 +432,7 @@ float cross_entropy(const Tensor& logits, const std::vector<int>& labels, Tensor
 
 std::size_t count_correct(const Tensor& logits, const std::vector<int>& labels) {
   const std::size_t n = logits.shape()[0], k = logits.shape()[1];
+  check_labels("tensor::count_correct", n, k, labels);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const float* row = logits.data() + i * k;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -99,13 +100,25 @@ StepStats Trainer::step(const Tensor& bx, const std::vector<int>& by) {
   if (active <= 1) {
     run_worker(0, n_shards, bx, by);
   } else {
+    // A worker's exception (a malformed batch, say) is caught on its own
+    // thread and rethrown here only after every thread has joined: escaping
+    // a std::thread, or unwinding past joinable ones, ends the process.
+    std::vector<std::exception_ptr> errors(active);
+    const auto guarded = [this, n_shards, &bx, &by, &errors](std::size_t w) {
+      try {
+        run_worker(w, n_shards, bx, by);
+      } catch (...) {
+        errors[w] = std::current_exception();
+      }
+    };
     std::vector<std::thread> pool;
     pool.reserve(active - 1);
-    for (std::size_t w = 1; w < active; ++w) {
-      pool.emplace_back([this, w, n_shards, &bx, &by] { run_worker(w, n_shards, bx, by); });
-    }
-    run_worker(0, n_shards, bx, by);
+    for (std::size_t w = 1; w < active; ++w) pool.emplace_back(guarded, w);
+    guarded(0);
     for (auto& t : pool) t.join();
+    for (const std::exception_ptr& e : errors) {
+      if (e) std::rethrow_exception(e);
+    }
   }
 
   // BN running stats fold in shard order — the serial order a single worker

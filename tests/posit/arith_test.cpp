@@ -7,8 +7,12 @@
 // correctly rounded reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
+#include <utility>
 
 #include "posit/arith.hpp"
 #include "posit/posit.hpp"
@@ -269,6 +273,48 @@ TEST_P(Arith16Test, RandomUnpackedRoundTripAndMulAgainstCoded) {
   }
 }
 
+/// Significant-bit span of a long double as (weight of its MSB, weight of
+/// its LSB); the value must be finite and non-zero.
+std::pair<int, int> ld_bit_span(long double v) {
+  int exp2 = 0;
+  const long double m = std::frexp(std::fabs(v), &exp2);  // [0.5, 1)
+  const auto bits = static_cast<std::uint64_t>(std::ldexp(m, 64));
+  return {exp2 - 1, exp2 - 64 + __builtin_ctzll(bits)};
+}
+
+/// Whether a + b is exact in a long double (64-bit significand, one bit of
+/// carry headroom): the skip rule of the random oracles below, which lose
+/// sticky information beyond that span.
+bool ld_sum_exact(long double a, long double b) {
+  if (a == 0.0L || b == 0.0L) return true;
+  const auto [top_a, lsb_a] = ld_bit_span(a);
+  const auto [top_b, lsb_b] = ld_bit_span(b);
+  return std::max(top_a, top_b) - std::min(lsb_a, lsb_b) <= 62;
+}
+
+TEST_P(Arith16Test, RandomSubFmaAgainstLongDouble) {
+  // sub and fma run the 64-bit exact-sum path whenever the scale gap lets
+  // it fit and the 128-bit guard/sticky path otherwise; both must round the
+  // exact value. The decode-once Operand overloads must return the same code.
+  const PositSpec s = spec();
+  std::mt19937_64 rng(29);
+  for (int t = 0; t < 200000; ++t) {
+    const std::uint32_t a = static_cast<std::uint32_t>(rng()) & s.mask();
+    const std::uint32_t b = static_cast<std::uint32_t>(rng()) & s.mask();
+    const std::uint32_t c = static_cast<std::uint32_t>(rng()) & s.mask();
+    if (a == s.nar_code() || b == s.nar_code() || c == s.nar_code()) continue;
+    const long double va = to_double(a, s), vb = to_double(b, s), vc = to_double(c, s);
+    if (ld_sum_exact(va, -vb)) {
+      ASSERT_EQ(sub(a, b, s), encode_ld(va - vb, s)) << va << " - " << vb;
+    }
+    if (ld_sum_exact(va * vb, vc)) {
+      ASSERT_EQ(fma(a, b, c, s), encode_ld(va * vb + vc, s)) << va << " * " << vb << " + " << vc;
+    }
+    ASSERT_EQ(add(a, Operand(neg(b, s), s), s), sub(a, b, s)) << a << " " << b;
+    ASSERT_EQ(fma(a, Operand(b, s), Operand(c, s), s), fma(a, b, c, s)) << a << " " << b << " " << c;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(FormatSweep, Arith16Test,
                          ::testing::Values(std::pair{16, 1}, std::pair{16, 2}),
                          [](const auto& info) {
@@ -302,6 +348,83 @@ TEST(UnpackedWideFormats, RoundTripMatchesDecodeOnRandomCodes) {
       ASSERT_EQ(got.sig, want.sig) << s.to_string() << " " << c;
     }
   }
+}
+
+TEST(Arith32, RandomAddFmaAgainstLongDouble) {
+  // posit(32,2): 28-bit significands, so the sum of a wide scale gap, and
+  // most fma products against their addend, take the 128-bit guard/sticky
+  // path; close scales take the exact 64-bit one. Same skip rule as the
+  // 16-bit oracles.
+  const PositSpec s{32, 2};
+  std::mt19937_64 rng(31);
+  int checked_add = 0, checked_fma = 0;
+  for (int t = 0; t < 200000; ++t) {
+    const std::uint32_t a = static_cast<std::uint32_t>(rng());
+    std::uint32_t b = static_cast<std::uint32_t>(rng());
+    const std::uint32_t c = static_cast<std::uint32_t>(rng());
+    if ((t & 1) != 0) b = (a & 0xFFF00000u) | (b & 0x000FFFFFu);  // close scales
+    if (a == s.nar_code() || b == s.nar_code() || c == s.nar_code()) continue;
+    const long double va = to_double(a, s), vb = to_double(b, s), vc = to_double(c, s);
+    if (ld_sum_exact(va, vb)) {
+      ++checked_add;
+      ASSERT_EQ(add(a, b, s), encode_ld(va + vb, s)) << va << " + " << vb;
+    }
+    if (ld_sum_exact(va * vb, vc)) {
+      ++checked_fma;
+      ASSERT_EQ(fma(a, b, c, s), encode_ld(va * vb + vc, s)) << va << " * " << vb << " + " << vc;
+    }
+  }
+  EXPECT_GT(checked_add, 50000);
+  EXPECT_GT(checked_fma, 1000);
+}
+
+/// to_double as it was first written: the decoded significand scaled by
+/// ldexp. Exact wherever the value is a normal double; ldexp's own overflow
+/// (infinity) and subnormal rounding beyond that.
+double to_double_ldexp(std::uint32_t code, const PositSpec& spec) {
+  const Decoded d = decode(code, spec);
+  if (d.is_zero) return 0.0;
+  if (d.is_nar) return std::numeric_limits<double>::quiet_NaN();
+  const double mag = std::ldexp(static_cast<double>(d.sig), d.scale - 62);
+  return d.neg ? -mag : mag;
+}
+
+void expect_to_double_matches_ldexp(std::uint32_t code, const PositSpec& s) {
+  const double got = to_double(code, s);
+  const double want = to_double_ldexp(code, s);
+  if (std::isnan(want)) {
+    ASSERT_TRUE(std::isnan(got)) << s.to_string() << " " << code;
+  } else {
+    ASSERT_EQ(std::memcmp(&got, &want, sizeof(got)), 0)
+        << s.to_string() << " code " << code << ": " << got << " vs " << want;
+  }
+}
+
+TEST(ToDouble, BitBuiltMatchesLdexpOnEveryCode) {
+  // Every code of every n <= 16 format (zero, NaR, minpos/maxpos and their
+  // negations included), then random and extreme codes of the 32-bit ones,
+  // whose es = 5, 6 scales run past the double range at both ends.
+  for (int n = 2; n <= 16; ++n) {
+    for (int es = 0; es <= 6; ++es) {
+      const PositSpec s{n, es};
+      for (std::uint64_t code = 0; code < s.code_count(); ++code) {
+        expect_to_double_matches_ldexp(static_cast<std::uint32_t>(code), s);
+      }
+    }
+  }
+  std::mt19937_64 rng(37);
+  for (int es = 0; es <= 6; ++es) {
+    const PositSpec s{32, es};
+    for (const std::uint32_t c : {0u, s.nar_code(), s.minpos_code(), s.maxpos_code(),
+                                  neg(s.minpos_code(), s), neg(s.maxpos_code(), s)}) {
+      expect_to_double_matches_ldexp(c, s);
+    }
+    for (int t = 0; t < 100000; ++t) {
+      expect_to_double_matches_ldexp(static_cast<std::uint32_t>(rng()), s);
+    }
+  }
+  EXPECT_TRUE(std::isinf(to_double(PositSpec{32, 6}.maxpos_code(), PositSpec{32, 6})));
+  EXPECT_EQ(to_double(PositSpec{32, 6}.minpos_code(), PositSpec{32, 6}), 0.0);
 }
 
 // ---------------------------------------------------------------------------

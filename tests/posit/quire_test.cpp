@@ -235,6 +235,46 @@ TEST_P(QuireFormatTest, DotRoundMatchesClearAccumulateToPosit) {
   simd::force_disable(false);
 }
 
+TEST_P(QuireFormatTest, DotRoundOnClusteredOperandsMatchesSequentialProducts) {
+  // Activation-like operands: products cluster within a few binades, so the
+  // n <= 16 deposit touches a handful of limbs and most sums round from the
+  // two-word read; sums of both signs, exact cancellation, and one dot long
+  // enough to need a second deposit round. The reference is add_product
+  // term by term, which shares no code with the batched deposit or merge.
+  const PositSpec s = spec();
+  std::mt19937_64 rng(59);
+  std::normal_distribution<double> act(0.0, 1.0), wt(0.0, 0.3);
+  std::vector<std::size_t> counts = {1, 2, 3, 4, 7, 8, 9, 27, 36, 72, 144};
+  counts.push_back((std::size_t{1} << 18) + 5);
+  for (const bool scalar : {false, true}) {
+    simd::force_disable(scalar);
+    Quire fused(s);
+    for (const std::size_t count : counts) {
+      const int trials = count > 1000 ? 1 : 40;
+      for (int trial = 0; trial < trials; ++trial) {
+        std::vector<Unpacked> a(count), b(count);
+        for (std::size_t i = 0; i < count; ++i) {
+          a[i] = decode_unpacked(from_double(act(rng), s), s);
+          b[i] = decode_unpacked(from_double(wt(rng), s), s);
+        }
+        if (trial == 1 && count >= 2) {  // x*w - x*w: exact cancellation to zero
+          a[1] = a[0];
+          b[1] = b[0];
+          b[1].neg ^= 1;
+          for (std::size_t i = 2; i < count; ++i) a[i] = decode_unpacked(0u, s);
+        }
+        Quire seq(s);
+        for (std::size_t i = 0; i < count; ++i) seq.add_product(a[i], b[i]);
+        const std::uint32_t want = seq.to_posit();
+        ASSERT_EQ(fused.dot_round(a.data(), b.data(), count), want)
+            << s.to_string() << " count " << count << " trial " << trial << " scalar " << scalar;
+        ASSERT_EQ(fused.to_double(), seq.to_double());
+      }
+    }
+  }
+  simd::force_disable(false);
+}
+
 TEST_P(QuireFormatTest, AccumulateDotOntoHeldValueMatchesSequential) {
   // The merge adds the dot into whatever the register holds — negative
   // values included — exactly as sequential deposits would.

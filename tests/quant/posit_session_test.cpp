@@ -2,13 +2,16 @@
 // oracles: per-layer reference chains on Sequential nets across the full
 // spec x mode grid, a hand-rolled scalar walk of a ResNet (residual joins
 // included), compile-once/run-many weight-mutation invalidation, thread-count
-// invariance, per-layer precision overrides, and the empty/degenerate edge
-// cases.
+// invariance, per-layer precision overrides, BN/join edge cases (specials,
+// warmed statistics, a zero-scale channel, the wide-gap rounding fallback)
+// on both SIMD paths, and the empty/degenerate edge cases.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #ifdef _OPENMP
@@ -16,6 +19,7 @@
 #endif
 
 #include "nn/optimizer.hpp"
+#include "posit/simd.hpp"
 #include "nn/resnet.hpp"
 #include "quant/posit_session.hpp"
 #include "tensor/ops.hpp"
@@ -225,6 +229,95 @@ TEST(PositSession, ResNetBitIdenticalToScalarOracle) {
     EXPECT_TRUE(bit_identical(got, want))
         << f.conv.to_string() << " mode " << static_cast<int>(f.mode);
   }
+}
+
+// ---------------------------------------------------------------------------
+// BN and residual-join edge cases, on both SIMD dispatch paths
+// ---------------------------------------------------------------------------
+
+TEST(PositSession, BnAndJoinEdgeCasesMatchScalarOracle) {
+  // A BN straight on the input, so NaN, +-inf, 0 and extreme magnitudes reach
+  // it, then a residual block whose join adds that BN's output to its main
+  // branch. Training forwards move the running statistics off (0, 1); the
+  // affine parameters are set by hand: a zero-scale channel, non-zero shifts.
+  Rng rng(211);
+  auto bn0_owner = std::make_unique<nn::BatchNorm2d>("bn0", 3);
+  auto block_owner = std::make_unique<nn::ResidualBlock>("res", 3, 3, 1, rng);
+  nn::BatchNorm2d* bn0 = bn0_owner.get();
+  nn::ResidualBlock* block = block_owner.get();
+  nn::Sequential net("net");
+  net.add(std::move(bn0_owner));
+  net.add(std::move(block_owner));
+  for (int i = 0; i < 3; ++i) net.forward(Tensor::randn({8, 3, 4, 4}, rng), true);
+  const float gamma[3] = {0.0f, 1.7f, -0.6f};
+  const float beta[3] = {0.25f, -1.3f, 3e-3f};
+  for (std::size_t c = 0; c < 3; ++c) {
+    bn0->gamma().value[c] = gamma[c];
+    bn0->beta().value[c] = beta[c];
+    block->bn1().beta().value[c] = 0.1f * static_cast<float>(c + 1);
+    block->bn2().beta().value[c] = -0.2f * static_cast<float>(c + 1);
+  }
+  for (nn::Param* p : {&bn0->gamma(), &bn0->beta(), &block->bn1().beta(), &block->bn2().beta()}) {
+    p->mark_updated();
+  }
+
+  Tensor x = Tensor::randn({2, 3, 4, 4}, rng);
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            0.0f,
+                            -0.0f,
+                            1e30f,
+                            -1e-30f,
+                            3e12f,
+                            -7e-9f};
+  // Spread over both images and all three channels.
+  for (std::size_t i = 0; i < sizeof(specials) / sizeof(specials[0]); ++i) x[i * 11] = specials[i];
+
+  const std::vector<OracleFormats> cases = {
+      {{16, 1}, {16, 1}, {16, 1}, AccumMode::kQuire},
+      {{16, 1}, {32, 2}, {16, 1}, AccumMode::kQuire},  // BN sums past the 64-bit exact path
+      {{8, 0}, {8, 0}, {8, 0}, AccumMode::kQuire},     // BN fma and join add from the tables
+  };
+  for (const bool simd : {false, true}) {
+    posit::simd::force_disable(!simd);
+    for (const OracleFormats& f : cases) {
+      PositSession session = PositSession::compile(net, config_for(f));
+      const Tensor& got = session.run(x);
+      const Tensor want = oracle_forward(net, x, f);
+      EXPECT_TRUE(bit_identical(got, want))
+          << "bn " << f.bn.to_string() << " conv " << f.conv.to_string() << " simd " << simd;
+    }
+  }
+  posit::simd::force_disable(false);
+}
+
+TEST(PositSession, BnWideGapRoundsTiesWithSticky) {
+  // posit(32,2) BN with scale 1.5 (eps 0, unit variance) and shifts 2^-46,
+  // 2^-50: x * 1.5 for x = 2^20 + 0.75 lands exactly halfway between two
+  // codes (22 fraction bits at scale 20) whose lower one is even, so only
+  // the shift — 66 and 70 binades below, on the guard/sticky path — breaks
+  // the tie upwards. Without its sticky bit the sum rounds down.
+  nn::BatchNorm2d bn("bn", 2, /*eps=*/0.0f);
+  bn.gamma().value.fill(1.5f);
+  bn.beta().value[0] = std::ldexp(1.0f, -46);
+  bn.beta().value[1] = std::ldexp(1.0f, -50);
+  bn.gamma().mark_updated();
+  bn.beta().mark_updated();
+  Tensor x({1, 2, 1, 1});
+  x[0] = x[1] = 1048576.75f;
+
+  OracleFormats f;
+  f.bn = {32, 2};
+  for (const bool simd : {false, true}) {
+    posit::simd::force_disable(!simd);
+    PositSession session = PositSession::compile(bn, config_for(f));
+    const Tensor& got = session.run(x);
+    EXPECT_EQ(got[0], 1572865.25f) << "simd " << simd;
+    EXPECT_EQ(got[1], 1572865.25f) << "simd " << simd;
+    EXPECT_TRUE(bit_identical(got, oracle_bn(x, bn, f.bn)));
+  }
+  posit::simd::force_disable(false);
 }
 
 TEST(PositSession, ResNetTracksFp32Forward) {

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
@@ -240,6 +241,20 @@ TEST(CrossEntropy, PerfectPredictionLowLoss) {
   const float loss = cross_entropy(logits, {1, 2}, nullptr);
   EXPECT_LT(loss, 1e-3);
   EXPECT_EQ(count_correct(logits, {1, 2}), 2u);
+  EXPECT_EQ(count_correct(logits, {0, 2}), 1u);
+}
+
+TEST(CrossEntropy, LabelsOutsideClassesThrow) {
+  // A label < 0 or >= classes used to index past the logits row.
+  Tensor logits({2, 3});
+  Tensor grad;
+  for (const std::vector<int>& bad : {std::vector<int>{0, 3}, std::vector<int>{-1, 0},
+                                      std::vector<int>{0}}) {
+    EXPECT_THROW(cross_entropy(logits, bad, &grad), std::invalid_argument);
+    EXPECT_THROW(cross_entropy(logits, bad, nullptr), std::invalid_argument);
+    EXPECT_THROW(count_correct(logits, bad), std::invalid_argument);
+  }
+  EXPECT_NO_THROW(cross_entropy(logits, {0, 2}, &grad));
   EXPECT_EQ(count_correct(logits, {0, 2}), 1u);
 }
 

@@ -1,9 +1,11 @@
 // trainer_test.cpp — train::Trainer determinism and correctness: trained
 // parameters bit-identical across 1/2/4 workers at fixed micro-batch,
 // single-shard steps bit-identical to the manual eager loop, shard-count
-// metrics aggregation, fit()'s epoch loop, and batch-validation throws.
+// metrics aggregation, fit()'s epoch loop, batch-validation throws, and
+// worker exceptions rethrown after every thread joined.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -217,6 +219,29 @@ TEST(TrainTrainer, DegenerateBatchesThrow) {
   TrainerConfig bad;
   bad.batch_size = 0;
   EXPECT_THROW(Trainer(*net, bad), std::invalid_argument);
+}
+
+TEST(TrainTrainer, WorkerExceptionsRethrowAfterJoin) {
+  // Two workers each run a shard: a throw on either thread must surface from
+  // step() as the original exception once both threads joined (not
+  // std::terminate), and leave the trainer usable.
+  Rng rng(77);
+  auto net = nn::mlp(4, 8, 2, 2, rng);
+  TrainerConfig cfg;
+  cfg.batch_size = 4;
+  cfg.micro_batch = 2;
+  cfg.workers = 2;
+  Trainer t(*net, cfg);
+
+  EXPECT_THROW(t.step(Tensor::zeros({4, 5}), std::vector<int>(4, 0)), std::invalid_argument);
+  // Out-of-range labels, in the second worker's shard and in the first's.
+  EXPECT_THROW(t.step(Tensor::zeros({4, 4}), {0, 1, 1, 2}), std::invalid_argument);
+  EXPECT_THROW(t.step(Tensor::zeros({4, 4}), {-1, 0, 1, 0}), std::invalid_argument);
+
+  Rng data_rng(900);
+  const StepStats ok = t.step(Tensor::randn({4, 4}, data_rng), {0, 1, 1, 0});
+  EXPECT_EQ(ok.count, 4u);
+  EXPECT_TRUE(std::isfinite(ok.loss_sum));
 }
 
 }  // namespace
