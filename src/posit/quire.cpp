@@ -45,13 +45,12 @@ class Magnitude {
   bool negative_ = false;
 };
 
-/// Round a non-NaR register of `count` words (bit 0 weighs 2^-frac_bits)
-/// to a posit code.
-std::uint32_t round_register(const std::uint64_t* words, std::size_t count, long frac_bits,
+/// Round a non-NaR register (bit 0 weighs 2^-frac_bits) to a posit code.
+std::uint32_t round_register(const std::vector<std::uint64_t>& words, long frac_bits,
                              const PositSpec& spec, RoundMode mode, RoundingRng* rng) {
-  const Magnitude mag(words, count);
-  if (mag.low() == count) return 0u;
-  std::size_t top = count - 1;
+  const Magnitude mag(words.data(), words.size());
+  if (mag.low() == words.size()) return 0u;
+  std::size_t top = words.size() - 1;
   while (mag[top] == 0) --top;  // stops at low() at the latest
   const long msb_pos = static_cast<long>(top) * 64 + 63 - __builtin_clzll(mag[top]);
 
@@ -71,25 +70,6 @@ std::uint32_t round_register(const std::uint64_t* words, std::size_t count, long
   }
   // sig now has its MSB (the hidden bit) at position 63.
   return round_pack(spec, mag.negative(), msb_pos - frac_bits, sig, 63, sticky, mode, rng);
-}
-
-/// round_register() for a two-word register slice, read as one signed
-/// 128-bit integer: the same (sig, sticky) extraction, branch-free and
-/// without the word scans — the narrow dot products' common case.
-std::uint32_t round_two_words(const std::uint64_t* words, long frac_bits, const PositSpec& spec,
-                              RoundMode mode, RoundingRng* rng) {
-  const u128 value = (static_cast<u128>(words[1]) << 64) | words[0];
-  if (value == 0) return 0u;
-  const bool negative = (words[1] >> 63) != 0;
-  const u128 mag = negative ? 0 - value : value;
-  const auto mag_hi = static_cast<std::uint64_t>(mag >> 64);
-  const int lz = mag_hi != 0 ? __builtin_clzll(mag_hi)
-                             : 64 + __builtin_clzll(static_cast<std::uint64_t>(mag));
-  // MSB to bit 127: the top word is the 64-bit significand (hidden bit at
-  // 63), the bottom word everything below it.
-  const u128 norm = mag << lz;
-  return round_pack(spec, negative, 127 - lz - frac_bits, static_cast<std::uint64_t>(norm >> 64), 63,
-                    static_cast<std::uint64_t>(norm) != 0, mode, rng);
 }
 
 }  // namespace
@@ -271,10 +251,9 @@ bool Quire::deposit_narrow(const Unpacked* a, const Unpacked* b, std::size_t cou
   std::uint64_t* const limbs = limbs_.data();
   const long base = frac_bits_;
   std::uint32_t flags = 0;
-  std::uint32_t lo = UINT32_MAX, hi = 0;  // touched limb range
   std::size_t i = 0;
   if (count >= 8 && simd::enabled()) {
-    i = simd::accumulate_narrow_avx2(a, b, count, base, limbs, stride, &flags, &lo, &hi);
+    i = simd::accumulate_narrow_avx2(a, b, count, base, limbs, stride, &flags);
   }
   for (; i < count; ++i) {
     const Unpacked ua = a[i];
@@ -282,52 +261,31 @@ bool Quire::deposit_narrow(const Unpacked* a, const Unpacked* b, std::size_t cou
     flags |= ua.flags | ub.flags;  // zero/NaR: sig 0 at lsb_weight 0 deposits nothing
     const std::uint64_t product = static_cast<std::uint64_t>(ua.sig) * ub.sig;
     const auto pos = static_cast<std::uint32_t>(base + ua.lsb_weight + ub.lsb_weight);
-    const std::uint32_t idx = pos >> 4;
-    lo = std::min(lo, idx);
-    hi = std::max(hi, idx);
     const std::uint64_t term = product << (pos & 15);
     const std::uint64_t negate = 0u - static_cast<std::uint64_t>(ua.neg ^ ub.neg);
-    limbs[(i & 3) * stride + idx] += (term ^ negate) - negate;
+    limbs[(i & 3) * stride + (pos >> 4)] += (term ^ negate) - negate;
   }
-  touched_lo_ = lo;
-  touched_hi_ = hi;
   return (flags & Unpacked::kNarFlag) != 0;
 }
 
 void Quire::merge_narrow(bool accumulate) {
-  const std::size_t nwords = words_.size();
-  if (touched_lo_ > touched_hi_) {  // empty deposit: the value is zero
-    if (!accumulate) std::fill(words_.begin(), words_.end(), 0u);
-    value_first_ = 0;
-    value_last_ = nwords;
-    return;
-  }
   const std::size_t stride = bank_stride();
   std::uint64_t* const b0 = limbs_.data();
   std::uint64_t* const b1 = b0 + stride;
   std::uint64_t* const b2 = b0 + 2 * stride;
   std::uint64_t* const b3 = b0 + 3 * stride;
   // Four 16-bit limbs per register word; a limb's signed value times
-  // 2^(16 j) is its share of the sum. Only limbs in [touched_lo_,
-  // touched_hi_] are non-zero, and the signed carry out of the last one is
-  // under 2^46 in magnitude, so three limbs further it has settled to 0 or
-  // -1: every word from `last` up is sign fill, every word below `first`
-  // zero. Carries past the top limb are multiples of 2^width and drop, as
-  // in merge_banks.
-  const std::size_t first = touched_lo_ / 4;
-  std::size_t last = std::min(nwords, (static_cast<std::size_t>(touched_hi_) + 3) / 4 + 1);
-  // A value inside one word is widened to two when the register has room,
-  // so the common dot product takes one fixed-length path through this
-  // merge and its rounding (round_two_words).
-  if (last - first < 2 && first + 2 <= nwords) last = first + 2;
+  // 2^(16 j) is its share of the sum. A limb takes under 2^43 per term and
+  // a round is at most kNarrowMergeTerms terms, so the four banks plus the
+  // signed carry stay inside int64 exactly. Carries past the top limb are
+  // multiples of 2^width and drop, as in the wide merge.
   std::int64_t carry = 0;
   unsigned add_carry = 0;
-  for (std::size_t w = first; w < last; ++w) {
+  for (std::size_t w = 0; w < words_.size(); ++w) {
     std::uint64_t v = 0;
     for (std::size_t q = 0; q < 4; ++q) {
       const std::size_t j = 4 * w + q;
       const auto t = static_cast<std::int64_t>(b0[j] + b1[j] + b2[j] + b3[j]) + carry;
-      b0[j] = b1[j] = b2[j] = b3[j] = 0;  // re-zero as we go (a superset of the touched limbs)
       v |= static_cast<std::uint64_t>(static_cast<std::uint16_t>(t)) << (16 * q);
       carry = t >> 16;  // arithmetic: floor division keeps the low limb in [0, 2^16)
     }
@@ -339,19 +297,7 @@ void Quire::merge_narrow(bool accumulate) {
       words_[w] = v;
     }
   }
-  const auto fill = static_cast<std::uint64_t>(carry);  // 0 or all ones when last < nwords
-  if (accumulate) {
-    for (std::size_t w = last; w < nwords; ++w) {
-      const u128 s = static_cast<u128>(words_[w]) + fill + add_carry;
-      words_[w] = static_cast<std::uint64_t>(s);
-      add_carry = static_cast<unsigned>(s >> 64);
-    }
-  } else {
-    std::fill(words_.begin(), words_.begin() + static_cast<std::ptrdiff_t>(first), 0u);
-    std::fill(words_.begin() + static_cast<std::ptrdiff_t>(last), words_.end(), fill);
-  }
-  value_first_ = first;
-  value_last_ = last;
+  std::fill(limbs_.begin(), limbs_.end(), 0u);
 }
 
 void Quire::merge_banks(bool accumulate) {
@@ -409,17 +355,7 @@ std::uint32_t Quire::dot_round(const Unpacked* a, const Unpacked* b, std::size_t
   merge_banks(/*accumulate=*/false);
   if (count > n) accumulate_dot(a + n, b + n, count - n);
   if (nar_) return spec_.nar_code();
-  if (narrow_ && count == n) {
-    // One narrow merge: the value sits in words [value_first_, value_last_)
-    // with zeros below and sign fill above, so that two's-complement slice,
-    // its bit 0 reweighted, rounds to the same code as the whole register.
-    const std::uint64_t* slice = words_.data() + value_first_;
-    const std::size_t words = value_last_ - value_first_;
-    const long frac_bits = frac_bits_ - 64 * static_cast<long>(value_first_);
-    return words == 2 ? round_two_words(slice, frac_bits, spec_, mode, rng)
-                      : round_register(slice, words, frac_bits, spec_, mode, rng);
-  }
-  return round_register(words_.data(), words_.size(), frac_bits_, spec_, mode, rng);
+  return round_register(words_, frac_bits_, spec_, mode, rng);
 }
 
 void Quire::sub_product(std::uint32_t a, std::uint32_t b) { add_product(a, neg(b, spec_)); }
@@ -436,7 +372,7 @@ void Quire::add_posit(std::uint32_t a) {
 
 std::uint32_t Quire::to_posit(RoundMode mode, RoundingRng* rng) const {
   if (nar_) return spec_.nar_code();
-  return round_register(words_.data(), words_.size(), frac_bits_, spec_, mode, rng);
+  return round_register(words_, frac_bits_, spec_, mode, rng);
 }
 
 double Quire::to_double() const {

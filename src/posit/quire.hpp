@@ -97,11 +97,6 @@ class Quire {
   /// n <= 16: every reduced-significand product fits 28 bits, so one limb
   /// add deposits a whole term (deposit_narrow).
   bool narrow_ = false;
-  /// Narrow deposit scratch: the limb index range the last deposit touched
-  /// (lo > hi when empty), and the register words [first, last) the last
-  /// merge wrote the value into (zeros below, sign fill above).
-  std::uint32_t touched_lo_ = 1, touched_hi_ = 0;
-  std::size_t value_first_ = 0, value_last_ = 0;
   bool nar_ = false;
 };
 

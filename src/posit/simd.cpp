@@ -232,7 +232,7 @@ __attribute__((target("avx2"))) std::size_t accumulate_limbs_avx2(
 
 __attribute__((target("avx2"))) std::size_t accumulate_narrow_avx2(
     const Unpacked* a, const Unpacked* b, std::size_t count, long base, std::uint64_t* limbs,
-    std::size_t bank_stride, std::uint32_t* flags_or, std::uint32_t* idx_lo, std::uint32_t* idx_hi) {
+    std::size_t bank_stride, std::uint32_t* flags_or) {
   const std::size_t head = count & ~static_cast<std::size_t>(7);
   const __m256i deint = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
   const __m256i basev = _mm256_set1_epi32(static_cast<int>(base));
@@ -240,8 +240,6 @@ __attribute__((target("avx2"))) std::size_t accumulate_narrow_avx2(
   const __m256i one64 = _mm256_set1_epi64x(1);
   const __m256i zero = _mm256_setzero_si256();
   __m256i meta_or = zero;
-  __m256i idx_min = _mm256_set1_epi32(-1);
-  __m256i idx_max = zero;
 
   for (std::size_t i = 0; i < head; i += 8) {
     // Same (sig, hi) deinterleave as accumulate_limbs_avx2.
@@ -263,11 +261,8 @@ __attribute__((target("avx2"))) std::size_t accumulate_narrow_avx2(
     const __m256i lsb_b = _mm256_srai_epi32(_mm256_slli_epi32(hi_b, 16), 16);
     const __m256i pos = _mm256_add_epi32(_mm256_add_epi32(lsb_a, lsb_b), basev);
     const __m256i sgn = _mm256_srli_epi32(_mm256_xor_si256(hi_a, hi_b), 16);
-    const __m256i idx = _mm256_srli_epi32(pos, 4);
-    idx_min = _mm256_min_epu32(idx_min, idx);
-    idx_max = _mm256_max_epu32(idx_max, idx);
     alignas(32) std::uint32_t idxs[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(idxs), idx);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(idxs), _mm256_srli_epi32(pos, 4));
 
     // Even int32 lanes (terms 0,2,4,6) multiply in place, odd lanes after a
     // 32-bit shift down; each product shifts to its offset in the 16-bit
@@ -289,19 +284,11 @@ __attribute__((target("avx2"))) std::size_t accumulate_narrow_avx2(
     }
   }
 
-  alignas(32) std::uint32_t meta[8], mins[8], maxs[8];
+  alignas(32) std::uint32_t meta[8];
   _mm256_store_si256(reinterpret_cast<__m256i*>(meta), meta_or);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(mins), idx_min);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(maxs), idx_max);
-  std::uint32_t flags = 0, lo = *idx_lo, hi = *idx_hi;
-  for (int l = 0; l < 8; ++l) {
-    flags |= meta[l] >> 24;
-    lo = mins[l] < lo ? mins[l] : lo;
-    hi = maxs[l] > hi ? maxs[l] : hi;
-  }
+  std::uint32_t flags = 0;
+  for (int l = 0; l < 8; ++l) flags |= meta[l] >> 24;
   *flags_or |= flags;
-  *idx_lo = lo;
-  *idx_hi = hi;
   return head;
 }
 
@@ -317,8 +304,7 @@ std::size_t accumulate_limbs_avx2(const Unpacked*, const Unpacked*, std::size_t,
 }
 
 std::size_t accumulate_narrow_avx2(const Unpacked*, const Unpacked*, std::size_t, long,
-                                   std::uint64_t*, std::size_t, std::uint32_t*, std::uint32_t*,
-                                   std::uint32_t*) {
+                                   std::uint64_t*, std::size_t, std::uint32_t*) {
   return 0;
 }
 

@@ -78,11 +78,9 @@ std::size_t accumulate_limbs_avx2(const Unpacked* a, const Unpacked* b, std::siz
 /// each shifted to its offset inside a 16-bit limb and signed, added whole
 /// to one 64-bit limb — term t of each group into bank t % 4 (banks
 /// `bank_stride` limbs apart), exactly as Quire's scalar narrow loop.
-/// Same return and flag contract as accumulate_limbs_avx2; also narrows
-/// [*idx_lo, *idx_hi] to cover every limb index it touched.
+/// Same return and flag contract as accumulate_limbs_avx2.
 std::size_t accumulate_narrow_avx2(const Unpacked* a, const Unpacked* b, std::size_t count,
                                    long base, std::uint64_t* limbs, std::size_t bank_stride,
-                                   std::uint32_t* flags_or, std::uint32_t* idx_lo,
-                                   std::uint32_t* idx_hi);
+                                   std::uint32_t* flags_or);
 
 }  // namespace pdnn::posit::simd

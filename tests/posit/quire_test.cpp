@@ -237,9 +237,9 @@ TEST_P(QuireFormatTest, DotRoundMatchesClearAccumulateToPosit) {
 
 TEST_P(QuireFormatTest, DotRoundOnClusteredOperandsMatchesSequentialProducts) {
   // Activation-like operands: products cluster within a few binades, so the
-  // n <= 16 deposit touches a handful of limbs and most sums round from the
-  // two-word read; sums of both signs, exact cancellation, and one dot long
-  // enough to need a second deposit round. The reference is add_product
+  // n <= 16 deposit piles many terms onto a handful of limbs; sums of both
+  // signs, exact cancellation, and one dot long enough to need a second
+  // deposit round. The reference is add_product
   // term by term, which shares no code with the batched deposit or merge.
   const PositSpec s = spec();
   std::mt19937_64 rng(59);
